@@ -1,7 +1,7 @@
 """Multi-fidelity autoencoder surrogates with conformal uncertainty bands.
 
 Submodules:
-    linalg    dense SVD / distance / PCA primitives
+    linalg    dense SVD / PCA primitives
     nn        from-scratch fully-connected networks, gradients, Adam
     data      snapshot sets, CSV I/O, splits, normalization, metrics
     lofi      synthetic low-fidelity degradation recipes

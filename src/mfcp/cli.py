@@ -234,7 +234,7 @@ def cmd_pretrain(cfg):
     print(bundle)
 
 
-def cmd_calibrate(cfg, workers=1):
+def cmd_calibrate(cfg):
     model = mfae.load_model(os.path.join(cfg.out_dir, "model_pretrained"))
     lf = load_csv(cfg.lf_set)
     hf = load_csv(cfg.hf_set)
@@ -250,7 +250,6 @@ def cmd_calibrate(cfg, workers=1):
         seed=derive_seed(cfg.seed, "calibrate"),
         max_epochs=cfg.max_finetune_epochs,
         adam=_finetune_adam(cfg),
-        workers=workers,
     )
     path = os.path.join(cfg.out_dir, "calibration.json")
     _write_json(path, {
@@ -278,7 +277,10 @@ def cmd_calibrate(cfg, workers=1):
 
 
 def cmd_finetune(cfg):
-    model = mfae.load_model(os.path.join(cfg.out_dir, "model_pretrained"))
+    pretrained = os.path.join(cfg.out_dir, "model_pretrained")
+    model = mfae.load_model(pretrained)
+    with open(os.path.join(pretrained, "meta.json")) as fh:
+        pretrained_meta = json.load(fh)
     with open(os.path.join(cfg.out_dir, "calibration.json")) as fh:
         calibration = json.load(fh)
     lf = load_csv(cfg.lf_set)
@@ -291,7 +293,7 @@ def cmd_finetune(cfg):
     bundle = os.path.join(cfg.out_dir, "model_final")
     meta_extra = {
         "hf_train_names": split["train_names"],
-        "lf_train_names": split["train_names"],
+        "lf_train_names": pretrained_meta["lf_train_names"],
         "epochs_trained": e_star,
     }
     mfae.save_model(model, bundle, extra=meta_extra)
@@ -435,9 +437,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="flat key = value config file")
         p.add_argument("--out", default=None, help="override out_dir")
         p.add_argument("--seed", type=int, default=None, help="override master seed")
-        if name == "calibrate":
-            p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                           help="parallel split workers")
     args = parser.parse_args(argv)
     _setup_logging()
     try:
@@ -451,7 +450,7 @@ def main(argv=None) -> int:
         elif args.command == "pretrain":
             cmd_pretrain(cfg)
         elif args.command == "calibrate":
-            cmd_calibrate(cfg, workers=args.workers)
+            cmd_calibrate(cfg)
         elif args.command == "finetune":
             cmd_finetune(cfg)
         else:

@@ -9,7 +9,6 @@ final model can be trained on every available pair.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,7 +122,7 @@ def _median_epoch(epochs):
 
 def multi_split_calibrate(x_lf, y_hf, pretrained, n_splits, cal_fraction, delta,
                           kind, patience=100, seed=0, max_epochs=2000,
-                          adam=None, workers=1) -> MultiSplitCalibration:
+                          adam=None) -> MultiSplitCalibration:
     """Calibrate radii and the stopping epoch over B random re-splits.
 
     For each split b the high-fidelity pairs are partitioned into a
@@ -133,10 +132,9 @@ def multi_split_calibrate(x_lf, y_hf, pretrained, n_splits, cal_fraction, delta,
     from the calibration residuals. Medians aggregate the B radius vectors
     component-wise and the B best epochs.
 
-    Each split owns a private RNG stream derived from (seed, b), so the
-    sampled partitions never depend on `workers`. Bitwise reproducibility
-    holds for a fixed seed and a fixed execution configuration; threaded
-    BLAS kernels may order reductions differently under `workers > 1`.
+    Each split owns a private RNG stream derived from (seed, b). The splits
+    run one after another, because a thread pool was slower on both
+    benchmark workloads and gave the same outputs.
     """
     x = np.asarray(x_lf, dtype=np.float64)
     y = np.asarray(y_hf, dtype=np.float64)
@@ -179,11 +177,7 @@ def multi_split_calibrate(x_lf, y_hf, pretrained, n_splits, cal_fraction, delta,
             radius=k_s * s,
         )
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run_split, range(n_splits)))
-    else:
-        records = [run_split(b) for b in range(n_splits)]
+    records = [run_split(b) for b in range(n_splits)]
 
     radii = np.stack([rec.radius for rec in records])
     epochs = [rec.epoch for rec in records]

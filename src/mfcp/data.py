@@ -245,27 +245,6 @@ def cosine_abscissae(n):
     return (1.0 - np.cos(np.pi * i / (n - 1))) / 2.0
 
 
-def cosine_resample(grid, values, target_n):
-    """Linear-interpolate a chordwise field onto a cosine-distributed grid.
-
-    `grid` must be strictly increasing in [0, 1]; `values` is (D,) or (D, N).
-    Returns (new_grid, new_values); endpoints are preserved exactly.
-    """
-    grid = np.asarray(grid, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    if grid.ndim != 1 or values.shape[0] != grid.size:
-        raise ValueError("grid and values disagree")
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly increasing")
-    new_grid = cosine_abscissae(target_n)
-    if values.ndim == 1:
-        return new_grid, np.interp(new_grid, grid, values)
-    out = np.empty((target_n, values.shape[1]))
-    for j in range(values.shape[1]):
-        out[:, j] = np.interp(new_grid, grid, values[:, j])
-    return new_grid, out
-
-
 def metrics(pred, truth):
     """Pooled MAE, RMSE and R^2 over all entries.
 
@@ -359,26 +338,3 @@ def compute_norm_stats(fields, mode) -> NormStats:
     mean = a.mean(axis=1)
     std = np.maximum(a.std(axis=1), STD_FLOOR)
     return NormStats("per_node_standard", mean=mean, std=std)
-
-
-def normalize(s, mode):
-    """Return (normalized set, stats); stats invert the transform exactly."""
-    stats = compute_norm_stats(s.fields, mode)
-    out = SnapshotSet(
-        fields=stats.apply(s.fields),
-        coords=s.coords.copy(),
-        params=s.params.copy(),
-        param_names=list(s.param_names),
-        names=list(s.names),
-    )
-    return out, stats
-
-
-def denormalize(s, stats):
-    return SnapshotSet(
-        fields=stats.invert(s.fields),
-        coords=s.coords.copy(),
-        params=s.params.copy(),
-        param_names=list(s.param_names),
-        names=list(s.names),
-    )

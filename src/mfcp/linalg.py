@@ -1,4 +1,4 @@
-"""Dense real-matrix primitives: thin SVD, pairwise distances, PCA axes.
+"""Dense real-matrix primitives: thin SVD and PCA axes.
 
 Everything operates on float64 ndarrays and is deterministic for a fixed
 input on a fixed platform.
@@ -60,22 +60,6 @@ def thin_svd(a) -> SvdResult:
     if np.any(np.diff(sigma) > 0):
         raise AssertionError("singular values not sorted nonincreasing")
     return SvdResult(u=u, sigma=sigma, vt=vt)
-
-
-def pairwise_sq_dist(points) -> np.ndarray:
-    """Squared Euclidean distance matrix for an n x c point cloud (c <= 3).
-
-    Computed from explicit coordinate differences so entries agree exactly
-    with a naive double loop.
-    """
-    p = check_matrix(points, "points", max_cols=3)
-    diff = p[:, None, :] - p[None, :, :]
-    # accumulate per coordinate, left to right, to match loop accumulation exactly
-    d = diff[:, :, 0] ** 2
-    for k in range(1, p.shape[1]):
-        d = d + diff[:, :, k] ** 2
-    np.fill_diagonal(d, 0.0)
-    return d
 
 
 def pca_axes(points):

@@ -244,10 +244,7 @@ def full_pipeline(tmp_path_factory):
     cfg_path.write_text(dump_config(cfg))
     start = time.time()
     for cmd in ("degrade", "pretrain", "calibrate", "finetune", "evaluate"):
-        args = [cmd, "--config", str(cfg_path)]
-        if cmd == "calibrate":
-            args += ["--workers", "1"]  # the runtime bound is single-threaded
-        code = cli.main(args)
+        code = cli.main([cmd, "--config", str(cfg_path)])
         assert code == 0, f"{cmd} failed"
     elapsed = time.time() - start
     return root, cfg, elapsed

@@ -182,6 +182,9 @@ def test_finetune_history_matches_estar(pipeline):
     assert len(lines) == 1 + calibration["E_star"]
     meta = json.loads((root / "out" / "model_final" / "meta.json").read_text())
     assert meta["epochs_trained"] == calibration["E_star"]
+    # the frozen encoder saw every LF snapshot it was pretrained on
+    pretrained = json.loads((root / "out" / "model_pretrained" / "meta.json").read_text())
+    assert meta["lf_train_names"] == pretrained["lf_train_names"]
 
 
 def test_finetune_keeps_encoder_bit_identical(pipeline):

@@ -172,16 +172,14 @@ def test_multi_split_median_aggregation(tiny_pretrained):
     assert np.median(np.array([[1.0], [2.0], [3.0]]), axis=0)[0] == 2.0
 
 
-def test_multi_split_deterministic_and_parallel_equal(tiny_pretrained):
+def test_multi_split_deterministic(tiny_pretrained):
     model, lf, hf = tiny_pretrained
     kwargs = dict(n_splits=3, cal_fraction=0.3, delta=0.1, kind="linf",
                   patience=15, seed=3, max_epochs=100)
     a = conformal.multi_split_calibrate(lf[:, :50], hf[:, :50], model, **kwargs)
     b = conformal.multi_split_calibrate(lf[:, :50], hf[:, :50], model, **kwargs)
-    c = conformal.multi_split_calibrate(lf[:, :50], hf[:, :50], model, workers=3, **kwargs)
     assert np.array_equal(a.radius, b.radius)
-    assert a.epochs == b.epochs == c.epochs
-    assert np.array_equal(a.radius, c.radius)
+    assert a.epochs == b.epochs
 
 
 def test_multi_split_rejects_infeasible_delta(tiny_pretrained):

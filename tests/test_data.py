@@ -140,30 +140,12 @@ def test_split_stratum_allocation_within_one_sample():
         assert abs(got - global_frac * len(members)) <= 1.0
 
 
-def test_cosine_resample_endpoints_only():
-    grid = np.linspace(0, 1, 11)
-    new_grid, vals = data.cosine_resample(grid, grid**2, 2)
-    assert np.array_equal(new_grid, [0.0, 1.0])
-    assert np.array_equal(vals, [0.0, 1.0])
-
-
-def test_cosine_resample_linear_exact():
-    grid = np.linspace(0, 1, 50)
-    new_grid, vals = data.cosine_resample(grid, grid.copy(), 9)
-    assert np.allclose(vals, new_grid, atol=1e-15)
-
-
 def test_cosine_abscissae_closed_form():
     got = data.cosine_abscissae(5)
     expected = (1.0 - np.cos(np.pi * np.arange(5) / 4.0)) / 2.0
     assert np.array_equal(got, expected)
     assert got[0] == 0.0 and got[-1] == 1.0
     assert abs(got[2] - 0.5) < 1e-15
-
-
-def test_cosine_resample_rejects_nonmonotone():
-    with pytest.raises(ValueError):
-        data.cosine_resample(np.array([0.0, 0.5, 0.4, 1.0]), np.zeros(4), 5)
 
 
 def test_metrics_examples():
@@ -194,28 +176,24 @@ def test_metrics_match_naive_loops():
 
 def test_normalize_none_is_identity():
     s = small_set()
-    out, stats = data.normalize(s, "none")
-    assert np.array_equal(out.fields, s.fields)
-    assert np.array_equal(data.denormalize(out, stats).fields, s.fields)
+    stats = data.compute_norm_stats(s.fields, "none")
+    out = stats.apply(s.fields)
+    assert np.array_equal(out, s.fields)
+    assert np.array_equal(stats.invert(out), s.fields)
 
 
 def test_normalize_constant_field_guard():
-    s = data.SnapshotSet(
-        fields=np.full((3, 2), 7.5),
-        coords=np.zeros((3, 1)),
-        params=np.zeros((2, 1)),
-        param_names=["p"],
-        names=["a", "b"],
-    )
-    out, stats = data.normalize(s, "global_minmax")
-    assert not np.any(out.fields)
+    fields = np.full((3, 2), 7.5)
+    stats = data.compute_norm_stats(fields, "global_minmax")
+    out = stats.apply(fields)
+    assert not np.any(out)
     assert stats.vmin == stats.vmax == 7.5
-    assert np.array_equal(data.denormalize(out, stats).fields, s.fields)
+    assert np.array_equal(stats.invert(out), fields)
 
 
 def test_normalize_round_trips():
     s = make_pressure_set(9, 17, seed=8)
     for mode in data.NORM_MODES:
-        out, stats = data.normalize(s, mode)
-        back = data.denormalize(out, stats)
-        assert np.max(np.abs(back.fields - s.fields)) <= 1e-12
+        stats = data.compute_norm_stats(s.fields, mode)
+        back = stats.invert(stats.apply(s.fields))
+        assert np.max(np.abs(back - s.fields)) <= 1e-12

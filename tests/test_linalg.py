@@ -64,38 +64,6 @@ def test_svd_rejects_bad_input():
         linalg.thin_svd(np.zeros((0, 3)))
 
 
-def test_pairwise_two_points():
-    d = linalg.pairwise_sq_dist(np.array([[0.0], [3.0]]))
-    assert np.array_equal(d, [[0.0, 9.0], [9.0, 0.0]])
-
-
-def test_pairwise_single_point():
-    assert np.array_equal(linalg.pairwise_sq_dist([[1.0, 2.0, 3.0]]), [[0.0]])
-
-
-def test_pairwise_matches_double_loop_exactly():
-    rng = np.random.default_rng(7)
-    pts = rng.normal(size=(10, 3))
-    d = linalg.pairwise_sq_dist(pts)
-    for i in range(10):
-        for j in range(10):
-            expected = 0.0
-            if i != j:
-                for k in range(3):
-                    expected += (pts[i, k] - pts[j, k]) ** 2
-            assert d[i, j] == expected
-    assert np.array_equal(d, d.T)
-
-
-def test_pairwise_triangle_inequality():
-    rng = np.random.default_rng(13)
-    pts = rng.normal(size=(12, 3))
-    dist = np.sqrt(linalg.pairwise_sq_dist(pts))
-    for _ in range(200):
-        i, j, k = rng.integers(0, 12, size=3)
-        assert dist[i, j] <= dist[i, k] + dist[k, j] + 1e-12
-
-
 def test_pca_single_direction():
     pts = np.column_stack([np.zeros(5), np.linspace(-2, 2, 5), np.zeros(5)])
     _, rot = linalg.pca_axes(pts)
