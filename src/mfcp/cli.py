@@ -277,10 +277,7 @@ def cmd_calibrate(cfg):
 
 
 def cmd_finetune(cfg):
-    pretrained = os.path.join(cfg.out_dir, "model_pretrained")
-    model = mfae.load_model(pretrained)
-    with open(os.path.join(pretrained, "meta.json")) as fh:
-        pretrained_meta = json.load(fh)
+    model = mfae.load_model(os.path.join(cfg.out_dir, "model_pretrained"))
     with open(os.path.join(cfg.out_dir, "calibration.json")) as fh:
         calibration = json.load(fh)
     lf = load_csv(cfg.lf_set)
@@ -293,7 +290,7 @@ def cmd_finetune(cfg):
     bundle = os.path.join(cfg.out_dir, "model_final")
     meta_extra = {
         "hf_train_names": split["train_names"],
-        "lf_train_names": pretrained_meta["lf_train_names"],
+        "lf_train_names": model.provenance["lf_train_names"],
         "epochs_trained": e_star,
     }
     mfae.save_model(model, bundle, extra=meta_extra)
@@ -330,15 +327,13 @@ def _evaluate_subset(model, radius, lf, hf, names):
 def cmd_evaluate(cfg):
     bundle = os.path.join(cfg.out_dir, "model_final")
     model = mfae.load_model(bundle)
-    with open(os.path.join(bundle, "meta.json")) as fh:
-        meta = json.load(fh)
     with open(os.path.join(cfg.out_dir, "calibration.json")) as fh:
         calibration = json.load(fh)
     lf = load_csv(cfg.lf_set)
     hf = load_csv(cfg.hf_set)
     split = _load_split(cfg)
     test_names = split["test_names"]
-    _leakage_check(meta, test_names)
+    _leakage_check(model.provenance, test_names)
     radius = np.array(calibration["R_star"], dtype=np.float64)
 
     pred, lower, upper, test_report = _evaluate_subset(model, radius, lf, hf, test_names)

@@ -63,6 +63,9 @@ class MfaeModel:
     lf_stats: NormStats = None
     hf_stats: NormStats = None
     pretrain_losses: list = None  # per-epoch reconstruction MSE, normalized units
+    # meta.json keys load_model does not consume (lf_train_names,
+    # hf_train_names, epochs_trained): what the bundle was trained on
+    provenance: dict = field(default_factory=dict)
 
 
 def clone(model) -> MfaeModel:
@@ -165,21 +168,30 @@ def fine_tune(model, x_lf, y_hf, epochs=None, monitor=None, patience=100,
     return result
 
 
+def _run(model, x_lf, nets, out_stats=None):
+    """Normalize one LF snapshot (d_lf,) or a batch (d_lf, n), run it through
+    `nets` in order and return the result in the input's layout, mapped back
+    to physical units by `out_stats` (left normalized when None)."""
+    a = np.asarray(x_lf, dtype=np.float64)
+    h = model.lf_stats.apply(a)
+    batch = a.ndim == 2
+    if batch:
+        h = h.T
+    for net in nets:
+        h, _ = nn.forward(net, h)
+    if batch:
+        h = h.T
+    return h if out_stats is None else out_stats.invert(h)
+
+
 def encode(model, x_lf):
     """Latent coordinates of one snapshot (d_lf,) or a batch (d_lf, n)."""
-    a = np.asarray(x_lf, dtype=np.float64)
-    norm = model.lf_stats.apply(a)
-    z, _ = nn.forward(model.encoder, norm.T if a.ndim == 2 else norm)
-    return z.T if a.ndim == 2 else z
+    return _run(model, x_lf, [model.encoder])
 
 
 def reconstruct(model, x_lf):
     """Decoder round-trip in LF units (any phase): decode(encode(x))."""
-    a = np.asarray(x_lf, dtype=np.float64)
-    norm = model.lf_stats.apply(a)
-    z, _ = nn.forward(model.encoder, norm.T if a.ndim == 2 else norm)
-    r, _ = nn.forward(model.decoder, z)
-    return model.lf_stats.invert(r.T if a.ndim == 2 else r)
+    return _run(model, x_lf, [model.encoder, model.decoder], model.lf_stats)
 
 
 def predict(model, x_lf):
@@ -189,14 +201,10 @@ def predict(model, x_lf):
     """
     if model.phase != PHASE_FINE_TUNED:
         raise ValueError("predict requires a fine-tuned model")
-    a = np.asarray(x_lf, dtype=np.float64)
-    batch = a.ndim == 2
-    norm = model.lf_stats.apply(a)
-    h, _ = nn.forward(model.encoder, norm.T if batch else norm)
-    h, _ = nn.forward(model.decoder, h)
+    nets = [model.encoder, model.decoder]
     if model.upscaler is not None:
-        h, _ = nn.forward(model.upscaler, h)
-    return model.hf_stats.invert(h.T if batch else h)
+        nets.append(model.upscaler)
+    return _run(model, x_lf, nets, model.hf_stats)
 
 
 # --- bundle persistence ------------------------------------------------------
@@ -228,7 +236,13 @@ def save_model(model, out_dir, extra=None):
         json.dump(meta, fh, indent=2, sort_keys=True)
 
 
+_META_KEYS = ("format_version", "phase", "config", "lf_stats", "hf_stats")
+
+
 def load_model(out_dir) -> MfaeModel:
+    """Read a bundle written by `save_model`. The meta.json entries that
+    describe training rather than the model (the `extra` of save_model) are
+    kept as `model.provenance`."""
     with open(os.path.join(out_dir, "meta.json")) as fh:
         meta = json.load(fh)
     if meta.get("format_version") != BUNDLE_VERSION:
@@ -253,4 +267,5 @@ def load_model(out_dir) -> MfaeModel:
         phase=meta["phase"],
         lf_stats=NormStats.from_dict(meta["lf_stats"]) if meta["lf_stats"] else None,
         hf_stats=NormStats.from_dict(meta["hf_stats"]) if meta["hf_stats"] else None,
+        provenance={k: v for k, v in meta.items() if k not in _META_KEYS},
     )

@@ -3,6 +3,13 @@
 Small, deterministic, float64 throughout. Layers hold (out x in) weight
 matrices; a per-layer trainable mask implements parameter freezing for
 transfer learning. Training is full batch: one Adam step per epoch.
+
+During `train` the trainable parameters live in one contiguous buffer:
+each trainable layer's weights and biases are rebound as views into it, so
+Adam, the finiteness check and the best-epoch snapshot each touch a single
+array, and networks that share the layers see the trained values without a
+copy-back. `backward` stops at the first trainable layer; the frozen layers
+below it get no gradient because nothing reads one.
 """
 
 import json
@@ -128,16 +135,19 @@ def forward(net, x):
 def backward(net, cache, grad_out):
     """Backpropagate; returns one (dW, db) pair per trainable layer.
 
-    Frozen layers pass the upstream gradient through but contribute no
-    parameter gradients. `grad_out` must match the forward batch shape.
+    Frozen layers above a trainable one pass the upstream gradient through
+    but contribute no parameter gradients. The pass ends at the first
+    trainable layer: it forms no input gradient there and visits no layer
+    below it. `grad_out` must match the forward batch shape.
     """
     g = np.asarray(grad_out, dtype=np.float64)
     if g.ndim == 1:
         g = g[None, :]
     if len(cache) != len(net.layers):
         raise ValueError("cache does not match network depth")
-    grads = [None] * len(net.layers)
-    for i in range(len(net.layers) - 1, -1, -1):
+    first = net.trainable.index(True) if any(net.trainable) else len(net.layers)
+    grads = []
+    for i in range(len(net.layers) - 1, first - 1, -1):
         layer = net.layers[i]
         a_in, z = cache[i]
         if g.shape != z.shape:
@@ -145,9 +155,10 @@ def backward(net, cache, grad_out):
         if layer.activation == "relu":
             g = g * (z > 0.0)
         if net.trainable[i]:
-            grads[i] = (g.T @ a_in, g.sum(axis=0))
-        g = g @ layer.weights
-    return [grads[i] for i in range(len(net.layers)) if net.trainable[i]]
+            grads.append((g.T @ a_in, g.sum(axis=0)))
+        if i > first:
+            g = g @ layer.weights
+    return grads[::-1]
 
 
 def trainable_parameters(net):
@@ -157,6 +168,25 @@ def trainable_parameters(net):
         if flag:
             params.extend([layer.weights, layer.biases])
     return params
+
+
+def _flatten_trainable(net):
+    """Copy the trainable parameters into one contiguous buffer, ordered as
+    `trainable_parameters`, and rebind each trainable layer's weights and
+    biases as views into it. Returns the buffer (empty when nothing trains).
+    """
+    params = trainable_parameters(net)
+    if not params:
+        return np.zeros(0)
+    flat = np.concatenate([p.ravel() for p in params])
+    offset = 0
+    for layer, flag in zip(net.layers, net.trainable):
+        if flag:
+            for name in ("weights", "biases"):
+                a = getattr(layer, name)
+                setattr(layer, name, flat[offset:offset + a.size].reshape(a.shape))
+                offset += a.size
+    return flat
 
 
 def mse_loss(pred, target):
@@ -180,30 +210,44 @@ class AdamConfig:
 
 
 class AdamState:
-    """First/second-moment accumulators matching a parameter list."""
+    """First/second-moment accumulators matching a parameter list, plus two
+    scratch arrays per parameter so that a step allocates nothing."""
 
     def __init__(self, params, config=None):
         self.config = config or AdamConfig()
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
+        self.scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
         self.t = 0
 
 
 def adam_step(state, params, grads):
-    """One Adam update with bias correction; parameters change in place."""
+    """One Adam update with bias correction; parameters change in place.
+
+    The operations run in the textbook order (m_hat = m / (1 - beta1**t),
+    then lr * m_hat / (sqrt(v_hat) + eps)), in place in the scratch arrays,
+    so every bit matches the expression form.
+    """
     if len(params) != len(state.m) or len(grads) != len(params):
         raise ValueError("parameter/gradient/state length mismatch")
     c = state.config
     state.t += 1
     t = state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for p, g, m, v, (s1, s2) in zip(params, grads, state.m, state.v, state.scratch):
         m *= c.beta1
-        m += (1.0 - c.beta1) * g
+        np.multiply(g, 1.0 - c.beta1, out=s1)
+        m += s1
         v *= c.beta2
-        v += (1.0 - c.beta2) * (g * g)
-        m_hat = m / (1.0 - c.beta1**t)
-        v_hat = v / (1.0 - c.beta2**t)
-        p -= c.lr * m_hat / (np.sqrt(v_hat) + c.eps)
+        np.multiply(g, g, out=s1)
+        s1 *= 1.0 - c.beta2
+        v += s1
+        np.divide(m, 1.0 - c.beta1**t, out=s1)
+        s1 *= c.lr
+        np.divide(v, 1.0 - c.beta2**t, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += c.eps
+        s1 /= s2
+        p -= s1
 
 
 @dataclass
@@ -223,6 +267,9 @@ def train(net, inputs, targets, epochs, adam=None, monitor=None, patience=100):
     (best - 1e-12) and the best-epoch weights are restored. Deterministic:
     no randomness beyond the layer initialization seeds.
 
+    Each trainable layer's weights and biases come out as views into one
+    buffer (see the module docstring); hold the layer, not its arrays.
+
     Raises TrainingDiverged if the loss or any parameter goes non-finite.
     """
     if epochs < 1:
@@ -231,19 +278,20 @@ def train(net, inputs, targets, epochs, adam=None, monitor=None, patience=100):
     y = np.asarray(targets, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ValueError("inputs/targets must be (n, d_in)/(n, d_out) with equal n")
-    params = trainable_parameters(net)
-    state = AdamState(params, adam)
+    flat = _flatten_trainable(net)
+    gflat = np.empty_like(flat)
+    state = AdamState([flat], adam)
 
     def val_mse():
         pred, _ = forward(net, monitor[0])
         return float(np.mean((pred - monitor[1]) ** 2))
 
     result = TrainResult()
-    best_params = None
+    best = None
     if monitor is not None:
         result.val_losses = [val_mse()]
         result.best_epoch = 0
-        best_params = [p.copy() for p in params]
+        best = flat.copy()
 
     for epoch in range(1, epochs + 1):
         pred, cache = forward(net, x)
@@ -252,24 +300,23 @@ def train(net, inputs, targets, epochs, adam=None, monitor=None, patience=100):
             raise TrainingDiverged(epoch)
         result.losses.append(loss)
         grads = backward(net, cache, grad)
-        flat_grads = [g for pair in grads for g in pair]
-        adam_step(state, params, flat_grads)
-        for p in params:
-            if not np.all(np.isfinite(p)):
-                raise TrainingDiverged(epoch, "non-finite parameter after update")
+        if grads:  # np.concatenate refuses an empty list
+            np.concatenate([g.ravel() for pair in grads for g in pair], out=gflat)
+        adam_step(state, [flat], [gflat])
+        if not np.isfinite(flat).all():
+            raise TrainingDiverged(epoch, "non-finite parameter after update")
         if monitor is not None:
             v = val_mse()
             result.val_losses.append(v)
             if v < result.val_losses[result.best_epoch] - 1e-12:
                 result.best_epoch = epoch
-                best_params = [p.copy() for p in params]
+                np.copyto(best, flat)
             elif epoch - result.best_epoch >= patience:
                 result.halted_early = True
                 break
 
-    if best_params is not None:
-        for p, saved in zip(params, best_params):
-            p[...] = saved
+    if best is not None:
+        np.copyto(flat, best)
     return result
 
 

@@ -119,6 +119,14 @@ def test_predict_is_exactly_the_stepwise_composition():
     assert np.array_equal(mfae.predict(model, x), manual)
     # pure function: repeated calls identical
     assert np.array_equal(mfae.predict(model, x), mfae.predict(model, x))
+    # a (d_lf, n) batch runs as (n, d) rows and comes back as (d_hf, n)
+    xs = lf[:, :7]
+    z, _ = nn.forward(model.encoder, model.lf_stats.apply(xs).T)
+    h, _ = nn.forward(model.decoder, z)
+    u, _ = nn.forward(model.upscaler, h)
+    assert np.array_equal(mfae.encode(model, xs), z.T)
+    assert np.array_equal(mfae.predict(model, xs), model.hf_stats.invert(u.T))
+    assert np.array_equal(mfae.reconstruct(model, xs), model.lf_stats.invert(h.T))
 
 
 def test_predict_phase_and_shape_errors():
@@ -159,6 +167,7 @@ def test_bundle_round_trip(tmp_path):
     mfae.save_model(model, tmp_path / "bundle", extra={"hf_train_names": ["a"]})
     loaded = mfae.load_model(tmp_path / "bundle")
     assert loaded.phase == model.phase
+    assert loaded.provenance == {"hf_train_names": ["a"]}
     assert params_digest(loaded.encoder) == params_digest(model.encoder)
     assert params_digest(loaded.decoder) == params_digest(model.decoder)
     assert params_digest(loaded.upscaler) == params_digest(model.upscaler)

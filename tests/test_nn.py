@@ -72,6 +72,46 @@ def test_backward_frozen_layers_pass_through():
     assert all(g is not None for g in grads)
 
 
+def test_backward_frozen_prefix_matches_all_trainable_bitwise():
+    net = nn.Mlp.from_widths(5, [7, 6, 4], 3, seed=21)
+    x = np.random.default_rng(2).normal(size=(9, 5))
+    y, cache = nn.forward(net, x)
+    grad = 2.0 * y / y.size
+    full = nn.backward(net, cache, grad)
+    net.trainable = [False, False, True, True]
+    # the pass ends at the first trainable layer, so it never reads the
+    # frozen prefix's cache entries
+    partial = nn.backward(net, [None, None] + cache[2:], grad)
+    assert len(partial) == 2
+    for (dw, db), (dw_full, db_full) in zip(partial, full[2:]):
+        assert np.array_equal(dw, dw_full)
+        assert np.array_equal(db, db_full)
+
+
+def test_adam_matches_textbook_expressions_bitwise():
+    rng = np.random.default_rng(17)
+    shapes = [(4, 3), (5,), (2, 3, 2), (1,)]
+    params = [rng.normal(size=s) for s in shapes]
+    cfg = nn.AdamConfig(lr=3e-3, beta1=0.8, beta2=0.99, eps=1e-7)
+    state = nn.AdamState(params, cfg)
+    ref_p = [p.copy() for p in params]
+    ref_m = [np.zeros(s) for s in shapes]
+    ref_v = [np.zeros(s) for s in shapes]
+    b1, b2 = cfg.beta1, cfg.beta2
+    for t in range(1, 51):
+        grads = [rng.normal(size=s) for s in shapes]
+        nn.adam_step(state, params, grads)
+        for i, g in enumerate(grads):
+            ref_m[i] = b1 * ref_m[i] + (1.0 - b1) * g
+            ref_v[i] = b2 * ref_v[i] + (1.0 - b2) * (g * g)
+            m_hat = ref_m[i] / (1.0 - b1**t)
+            v_hat = ref_v[i] / (1.0 - b2**t)
+            ref_p[i] = ref_p[i] - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        for p, r in zip(params, ref_p):
+            assert np.array_equal(p, r)
+    assert state.t == 50
+
+
 def test_adam_zero_gradient_keeps_parameters():
     p = [np.array([1.0, -2.0])]
     state = nn.AdamState(p)
@@ -189,6 +229,28 @@ def test_train_raises_on_divergence():
     with np.errstate(over="ignore"), pytest.raises(nn.TrainingDiverged) as err:
         nn.train(net, np.full((2, 1), 1e300), np.zeros((2, 1)), epochs=5)
     assert err.value.epoch >= 1
+
+
+def test_train_raises_on_non_finite_parameter():
+    rng = np.random.default_rng(6)
+    net = nn.Mlp.from_widths(3, [4], 2, seed=8)
+    with np.errstate(invalid="ignore"), pytest.raises(nn.TrainingDiverged) as err:
+        nn.train(net, rng.normal(size=(6, 3)), rng.normal(size=(6, 2)), epochs=5,
+                 adam=nn.AdamConfig(lr=float("inf")))
+    assert err.value.epoch == 1
+    assert "non-finite parameter after update" in str(err.value)
+
+
+def test_train_all_frozen_net_runs_without_update():
+    rng = np.random.default_rng(7)
+    x, y = rng.normal(size=(6, 3)), rng.normal(size=(6, 2))
+    net = nn.Mlp.from_widths(3, [4], 2, seed=9)
+    net.trainable = [False, False]
+    digest = params_digest(net)
+    result = nn.train(net, x, y, epochs=7, monitor=(x, y), patience=100)
+    assert len(result.losses) == 7
+    assert len(set(result.losses)) == 1
+    assert params_digest(net) == digest
 
 
 def test_json_round_trip_lossless():
