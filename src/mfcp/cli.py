@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields as dc_fields
 import numpy as np
 
 from . import conformal, lofi, mfae, nn
-from .data import load_csv, metrics, save_csv, stratified_split
+from .data import _write_rows, load_csv, metrics, save_csv, stratified_split
 
 log = logging.getLogger("mfcp")
 
@@ -343,7 +343,8 @@ def cmd_evaluate(cfg):
         "kind": calibration["kind"],
         "test": test_report,
     }
-    comp_names = [n for n in split.get("complementary_names", []) if n in set(lf.names)]
+    lf_names = set(lf.names)
+    comp_names = [n for n in split.get("complementary_names", []) if n in lf_names]
     if comp_names:
         _, _, _, comp_report = _evaluate_subset(model, radius, lf, hf, comp_names)
         report["complementary_test"] = comp_report
@@ -354,11 +355,8 @@ def cmd_evaluate(cfg):
     for j, name in enumerate(test_names):
         with open(os.path.join(pred_dir, f"{name}.csv"), "w") as fh:
             fh.write("node,x,truth,prediction,lower,upper\n")
-            for i in range(hf.n_nodes):
-                fh.write(
-                    f"{i},{hf.coords[i, 0]:.17g},{truth[i, j]:.17g},"
-                    f"{pred[i, j]:.17g},{lower[j, i]:.17g},{upper[j, i]:.17g}\n"
-                )
+            _write_rows(fh, np.column_stack([hf.coords[:, 0], truth[:, j], pred[:, j],
+                                             lower[j], upper[j]]), "\n")
 
     if cfg.emit_plot and test_names:
         try:

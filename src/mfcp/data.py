@@ -79,6 +79,14 @@ def params_path_for(path):
     return f"{stem}_params.{ext}"
 
 
+def _write_rows(fh, body, eol):
+    """One line per row of `body`: the row index, then every value with 17
+    significant digits, so a load round-trips bit-exactly."""
+    line = "%d," + ",".join(["%.17g"] * body.shape[1]) + eol
+    for i, row in enumerate(body.tolist()):
+        fh.write(line % (i, *row))
+
+
 def save_csv(s, path, params_path=None):
     """Write the fields CSV (node, coords, one column per snapshot) and the
     params CSV (name, one column per parameter). 17 significant digits, so
@@ -86,11 +94,8 @@ def save_csv(s, path, params_path=None):
     params_path = params_path or params_path_for(path)
     coord_cols = COORD_NAMES[: s.coords.shape[1]]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["node", *coord_cols, *s.names])
-        for i in range(s.n_nodes):
-            row = [str(i)] + [_fmt(v) for v in s.coords[i]] + [_fmt(v) for v in s.fields[i]]
-            w.writerow(row)
+        csv.writer(fh).writerow(["node", *coord_cols, *s.names])
+        _write_rows(fh, np.hstack([s.coords, s.fields]), "\r\n")
     with open(params_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["name", *s.param_names])
@@ -99,20 +104,59 @@ def save_csv(s, path, params_path=None):
 
 
 def _parse_float(cell, where):
-    try:
-        return float(cell)
-    except ValueError:
-        raise ValueError(f"non-numeric cell {cell!r} in {where}")
+    """A numeric cell under the rule of NumPy's text parser: surrounding
+    whitespace is ignored, the rest must be ASCII with no underscores."""
+    s = cell.strip()
+    if s.isascii() and "_" not in s:
+        try:
+            return float(s)
+        except ValueError:
+            pass
+    raise ValueError(f"non-numeric cell {cell!r} in {where}")
+
+
+def _lines(fh):
+    """The remaining lines of `fh`. A blank line, which loadtxt would skip,
+    raises instead, so that the cell-by-cell scan reports it as ragged."""
+    for line in fh:
+        if line[0] in "\r\n":
+            raise ValueError("blank line")
+        yield line
+
+
+def _scan_body(path, width):
+    """The node rows of a fields CSV without the node column, parsed cell by
+    cell. It defines what `load_csv` accepts, and runs only when loadtxt
+    fails there: it names the first ragged row or non-numeric cell."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        rows = []
+        for k, row in enumerate(reader, start=2):
+            if len(row) != width:
+                raise ValueError(f"{path}: ragged row {k} ({len(row)} cells, expected {width})")
+            rows.append([_parse_float(c, f"{path}:{k}") for c in row[1:]])
+    return np.array(rows, dtype=np.float64).reshape(len(rows), width - 1)
 
 
 def load_csv(path, params_path=None) -> SnapshotSet:
     """Load a snapshot set written by `save_csv`."""
     params_path = params_path or params_path_for(path)
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
+        header = next(csv.reader(fh), None)
+        # The node column is a label and is never parsed. No usecols: with it
+        # loadtxt would accept rows that are too long. An empty body is
+        # reported as "no node rows" below, not as loadtxt's warning.
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                values = np.loadtxt(_lines(fh), dtype=np.float64, delimiter=",", comments=None,
+                                    quotechar='"', ndmin=2, converters={0: lambda label: 0.0})
+            values = values[:, 1:]
+        except ValueError:
+            values = None
+    if header is None:
         raise ValueError(f"{path}: empty file")
-    header = rows[0]
     if not header or header[0] != "node":
         raise ValueError(f"{path}: first header column must be 'node'")
     n_coords = 0
@@ -124,14 +168,9 @@ def load_csv(path, params_path=None) -> SnapshotSet:
     if len(set(names)) != len(names):
         raise ValueError(f"{path}: duplicate snapshot names")
     width = len(header)
-    coords, fields = [], []
-    for k, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise ValueError(f"{path}: ragged row {k} ({len(row)} cells, expected {width})")
-        coords.append([_parse_float(c, f"{path}:{k}") for c in row[1 : 1 + n_coords]])
-        fields.append([_parse_float(c, f"{path}:{k}") for c in row[1 + n_coords :]])
-    d = len(coords)
-    if d == 0:
+    if values is None or values.shape[1] != width - 1:
+        values = _scan_body(path, width)
+    if values.shape[0] == 0:
         raise ValueError(f"{path}: no node rows")
     with open(params_path, newline="") as fh:
         prows = list(csv.reader(fh))
@@ -148,8 +187,10 @@ def load_csv(path, params_path=None) -> SnapshotSet:
         raise ValueError(f"{params_path}: missing parameter rows for {missing[:5]}")
     params = [by_name[n] for n in names]
     return SnapshotSet(
-        fields=np.array(fields, dtype=np.float64).reshape(d, len(names)),
-        coords=np.array(coords, dtype=np.float64),
+        # contiguous copies: strided views would change the last bits of
+        # reductions over them, such as the norm statistics
+        fields=np.ascontiguousarray(values[:, n_coords:]),
+        coords=np.ascontiguousarray(values[:, :n_coords]),
         params=np.array(params, dtype=np.float64).reshape(len(names), len(param_names)),
         param_names=param_names,
         names=list(names),

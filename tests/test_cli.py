@@ -238,6 +238,19 @@ def test_report_fields_and_recomputation_oracle(pipeline):
     assert (root / "out" / "section_plot.svg").read_text().startswith("<svg")
 
 
+def test_prediction_csv_lines_are_17_digit_cells(pipeline):
+    root, cfg, _ = pipeline
+    split = json.loads((root / "out" / "split.json").read_text())
+    path = root / "out" / "predictions" / f"{split['test_names'][0]}.csv"
+    lines = path.read_bytes().decode().split("\n")
+    assert lines[0] == "node,x,truth,prediction,lower,upper"
+    assert lines[-1] == "" and len(lines) == cfg.d_hf + 2
+    for i, line in enumerate(lines[1:-1]):
+        cells = line.split(",")
+        assert len(cells) == 6 and cells[0] == str(i)
+        assert line == ",".join([cells[0]] + [f"{float(c):.17g}" for c in cells[1:]])
+
+
 def test_zero_radius_calibration_gives_zero_nominal(tmp_path, pipeline):
     root, cfg, _ = pipeline
     import shutil

@@ -1,9 +1,12 @@
+import csv
+import io
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mfcp import data
+from mfcp import cli, data
 
 from helpers import make_pressure_set
 
@@ -79,6 +82,161 @@ def test_csv_rejects_ragged_and_nonnumeric(tmp_path):
     path.write_text("node,x,a,a\n0,0.0,1.0,2.0\n")
     with pytest.raises(ValueError, match="duplicate"):
         data.load_csv(path)
+
+
+# --- the CSV codec against cell-by-cell references ----------------------------
+
+
+def reference_save(s, path):
+    """The fields file as a csv.writer loop over f"{v:.17g}" cells writes it."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["node", *data.COORD_NAMES[: s.coords.shape[1]], *s.names])
+        for i in range(s.n_nodes):
+            w.writerow([str(i)] + [f"{v:.17g}" for v in s.coords[i]]
+                       + [f"{v:.17g}" for v in s.fields[i]])
+
+
+def reference_cell(cell):
+    """NumPy's text-parser rule for one cell, which `load_csv` documents."""
+    s = cell.strip()
+    if not s.isascii() or "_" in s:
+        raise ValueError(cell)
+    return float(s)
+
+
+def reference_body(text, path):
+    """(values without the node column, None) or (None, error message) for a
+    fields file whose header is valid: csv records, the ragged check, then
+    every cell left to right."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    width = len(rows[0])
+    values = []
+    for k, row in enumerate(rows[1:], start=2):
+        if len(row) != width:
+            return None, f"{path}: ragged row {k} ({len(row)} cells, expected {width})"
+        for c in row[1:]:
+            try:
+                reference_cell(c)
+            except ValueError:
+                return None, f"non-numeric cell {c!r} in {path}:{k}"
+        values.append([reference_cell(c) for c in row[1:]])
+    if not values:
+        return None, f"{path}: no node rows"
+    return np.array(values, dtype=np.float64), None
+
+
+def degrade_exit_code(path):
+    """`mfcp degrade` with the identity recipe on the fields CSV at `path`."""
+    root = path.parent
+    (root / "recipe.json").write_text('{"stages": []}')
+    cfg = cli.PipelineConfig(hf_set=str(path), recipe=str(root / "recipe.json"),
+                             out_dir=str(root / "out"))
+    (root / "c.txt").write_text(cli.dump_config(cfg))
+    return cli.main(["degrade", "--config", str(root / "c.txt")])
+
+
+def codec_set(kind):
+    if kind == "special":
+        return data.SnapshotSet(
+            fields=np.array([[-0.0, 5e-324, 1e308], [1 / 3, -1 / 3, -5e-324]]),
+            coords=np.array([[-0.0], [1 / 3]]),
+            params=np.array([[-0.0], [5e-324], [1 / 3]]),
+            param_names=["p"],
+            names=["a,b", 'say "c"', "c"],
+        )
+    if kind == "xyz":
+        rng = np.random.default_rng(5)
+        return data.SnapshotSet(fields=rng.normal(size=(6, 4)) * 10.0 ** rng.integers(-300, 300, (6, 4)),
+                                coords=rng.normal(size=(6, 3)), params=rng.normal(size=(4, 2)),
+                                param_names=["p", "q"], names=["s0", "s1", "s2", "s3"])
+    return data.SnapshotSet(fields=np.zeros((3, 0)), coords=np.array([[0.0], [-0.0], [1e308]]),
+                            params=np.zeros((0, 1)), param_names=["p"], names=[])
+
+
+@pytest.mark.parametrize("kind", ["special", "xyz", "no_snapshots"])
+def test_csv_codec_matches_reference_bytes_and_round_trips_bits(tmp_path, kind):
+    s = codec_set(kind)
+    data.save_csv(s, tmp_path / "set.csv")
+    reference_save(s, tmp_path / "ref.csv")
+    assert (tmp_path / "set.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    loaded = data.load_csv(tmp_path / "set.csv")
+    assert loaded.names == s.names
+    for got, want in ((loaded.fields, s.fields), (loaded.coords, s.coords),
+                      (loaded.params, s.params)):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # bit-exact, the sign of -0.0 too
+    assert loaded.fields.flags.c_contiguous and loaded.coords.flags.c_contiguous
+
+
+@pytest.mark.parametrize("body, message", [
+    ("0,0.0,1.0\n1,0.5\n", "{path}: ragged row 3 (2 cells, expected 3)"),
+    ("0,0.0,1.0\n1,0.5,2.0,3.0\n", "{path}: ragged row 3 (4 cells, expected 3)"),
+    ("0,0.0,1.0\n\n1,0.5,2.0\n", "{path}: ragged row 3 (0 cells, expected 3)"),
+    ("0,0.0,1.0\n1,0.5\n2,oops,1\n", "{path}: ragged row 3 (2 cells, expected 3)"),
+    ("0,0.0,1.0\n1,0.5,oops\n", "non-numeric cell 'oops' in {path}:3"),
+    ("0,0.0,1.0#2\n", "non-numeric cell '1.0#2' in {path}:2"),
+    ("0,1_0,1.0\n", "non-numeric cell '1_0' in {path}:2"),
+    ("", "{path}: no node rows"),
+])
+def test_csv_errors_name_the_first_bad_line(tmp_path, body, message):
+    path = tmp_path / "bad.csv"
+    (tmp_path / "bad_params.csv").write_text("name,p\na,1\n")
+    path.write_text("node,x,a\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            data.load_csv(path)
+    assert str(exc.value) == message.format(path=path)
+    assert degrade_exit_code(path) == 2
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_csv_line_ends_and_node_labels(tmp_path, eol):
+    path = tmp_path / "set.csv"
+    (tmp_path / "set_params.csv").write_text("name,p\na,1\n")
+    path.write_bytes(eol.join(["node,x,a", "n0,0.0,1.5", '"n,1",0.5,-2'])
+                     .encode() + eol.encode())
+    loaded = data.load_csv(path)
+    assert np.array_equal(loaded.coords, [[0.0], [0.5]])
+    assert np.array_equal(loaded.fields, [[1.5], [-2.0]])
+
+
+CELLS = st.one_of(
+    st.floats().map(lambda v: f"{v:.17g}"),
+    st.sampled_from(["", " ", "-0", "nan", "-inf", "1_0", "١٢", "1.0#2", "#", '"', '""',
+                     ",", "\n", "\r", " 1 ", "1\xa0", "0x10", "1e", "oops", '"1.5"', '"1\n"']),
+    st.text(alphabet=' 0123456789.-+eE_#",\r\n\tx١', max_size=6),
+)
+
+
+@settings(max_examples=150, deadline=1000)
+@given(n_coords=st.integers(1, 3), n_snapshots=st.integers(0, 2),
+       rows=st.lists(st.lists(CELLS, max_size=6), max_size=5),
+       eol=st.sampled_from(["\n", "\r\n"]), final_eol=st.booleans())
+def test_load_csv_fuzz_matches_reference(tmp_path_factory, n_coords, n_snapshots, rows, eol,
+                                         final_eol):
+    root = tmp_path_factory.getbasetemp() / "fuzz"
+    root.mkdir(exist_ok=True)
+    path = root / "set.csv"
+    names = [f"s{j}" for j in range(n_snapshots)]
+    (root / "set_params.csv").write_text("".join(f"{n},1\n" for n in ["name", *names]))
+    lines = [",".join(["node", *data.COORD_NAMES[:n_coords], *names])]
+    lines += [",".join(row) for row in rows]
+    text = eol.join(lines) + (eol if final_eol else "")
+    path.write_bytes(text.encode())
+    want, message = reference_body(text, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            s = data.load_csv(path)
+        except ValueError as exc:
+            assert str(exc) == message
+        else:
+            assert message is None
+            got = np.hstack([s.coords, s.fields])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert degrade_exit_code(path) == (0 if message is None else 2)
 
 
 def test_split_constant_params_plain_random():
