@@ -34,9 +34,10 @@ hf = SnapshotSet(fields=fields, coords=x[:, None], params=params,
 print(f"HF set: {hf.n_nodes} nodes x {hf.n_snapshots} snapshots")
 
 # --- 1. modal truncation: keep the smallest mode count reaching 90% energy
-x_r, r_star = lofi.pod_truncate(hf.fields, energy=0.90)
+x_r, r_star, retained = lofi.pod_truncate(hf.fields, energy=0.90)
 blur = np.abs(x_r - hf.fields).mean()
-print(f"\nmodal filter: kept {r_star} modes, mean |blur| = {blur:.4f}")
+print(f"\nmodal filter: kept {r_star} modes ({retained:.1%} of the energy), "
+      f"mean |blur| = {blur:.4f}")
 
 # --- 2. farthest-point subsampling: greedy max-min node selection
 mask = lofi.fps(hf.coords, m=40, seed=1)

@@ -83,12 +83,8 @@ def parse_config(text) -> PipelineConfig:
             if val.lower() not in _BOOL_WORDS:
                 raise ValueError(f"config key {key}: bad boolean {val!r}")
             setattr(cfg, key, _BOOL_WORDS[val.lower()])
-        elif t is int:
-            setattr(cfg, key, int(val))
-        elif t is float:
-            setattr(cfg, key, float(val))
         else:
-            setattr(cfg, key, val)
+            setattr(cfg, key, t(val))
     return cfg
 
 
@@ -103,11 +99,6 @@ def dump_config(cfg) -> str:
             v = repr(v)
         lines.append(f"{f.name} = {v}")
     return "\n".join(lines) + "\n"
-
-
-def load_config(path) -> PipelineConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
 
 
 def derive_seed(master, label) -> int:
@@ -139,28 +130,23 @@ def _mfae_config(cfg) -> mfae.MfaeConfig:
     )
 
 
-def _finetune_adam(cfg) -> nn.AdamConfig:
-    lr = cfg.finetune_learning_rate or cfg.learning_rate / 10.0
-    return nn.AdamConfig(lr=lr)
+def _finetune_adam(cfg):
+    """The fine-tune Adam settings when the config sets a rate; None leaves
+    mfae.fine_tune's default, a tenth of the pretraining rate."""
+    if cfg.finetune_learning_rate:
+        return nn.AdamConfig(lr=cfg.finetune_learning_rate)
+    return None
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+def _read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def _write_json(path, doc):
     with open(path, "w") as fh:
-        json.dump(_jsonable(doc), fh, indent=2, sort_keys=True)
+        # NumPy arrays and scalars are written as their Python values
+        json.dump(doc, fh, indent=2, sort_keys=True, default=lambda a: a.tolist())
         fh.write("\n")
 
 
@@ -175,9 +161,11 @@ def _split_path(cfg):
     return os.path.join(cfg.out_dir, "split.json")
 
 
-def _load_split(cfg):
-    with open(_split_path(cfg)) as fh:
-        return json.load(fh)
+def _stage_inputs(cfg, bundle):
+    """What calibrate, finetune and evaluate start from: the model bundle
+    `bundle` under out_dir, the LF and HF sets and the split plan."""
+    model = mfae.load_model(os.path.join(cfg.out_dir, bundle))
+    return model, load_csv(cfg.lf_set), load_csv(cfg.hf_set), _read_json(_split_path(cfg))
 
 
 def _paired_matrices(lf, hf, names):
@@ -226,7 +214,7 @@ def cmd_pretrain(cfg):
     keep = [i for i, name in enumerate(lf.names) if name not in test_names]
     lf_train = lf.take(keep)
 
-    model = mfae.pretrain(_mfae_config(cfg), lf_train)
+    model = mfae.pretrain(_mfae_config(cfg), lf_train.fields)
     bundle = os.path.join(cfg.out_dir, "model_pretrained")
     mfae.save_model(model, bundle, extra={"lf_train_names": lf_train.names})
     _write_history(os.path.join(cfg.out_dir, "pretrain_history.csv"), model.pretrain_losses)
@@ -235,10 +223,7 @@ def cmd_pretrain(cfg):
 
 
 def cmd_calibrate(cfg):
-    model = mfae.load_model(os.path.join(cfg.out_dir, "model_pretrained"))
-    lf = load_csv(cfg.lf_set)
-    hf = load_csv(cfg.hf_set)
-    split = _load_split(cfg)
+    model, lf, hf, split = _stage_inputs(cfg, "model_pretrained")
     x, y = _paired_matrices(lf, hf, split["train_names"])
     result = conformal.multi_split_calibrate(
         x, y, model,
@@ -277,12 +262,8 @@ def cmd_calibrate(cfg):
 
 
 def cmd_finetune(cfg):
-    model = mfae.load_model(os.path.join(cfg.out_dir, "model_pretrained"))
-    with open(os.path.join(cfg.out_dir, "calibration.json")) as fh:
-        calibration = json.load(fh)
-    lf = load_csv(cfg.lf_set)
-    hf = load_csv(cfg.hf_set)
-    split = _load_split(cfg)
+    calibration = _read_json(os.path.join(cfg.out_dir, "calibration.json"))
+    model, lf, hf, split = _stage_inputs(cfg, "model_pretrained")
     x, y = _paired_matrices(lf, hf, split["train_names"])
     e_star = int(calibration["E_star"])
     result = mfae.fine_tune(model, x, y, epochs=e_star, adam=_finetune_adam(cfg),
@@ -325,13 +306,8 @@ def _evaluate_subset(model, radius, lf, hf, names):
 
 
 def cmd_evaluate(cfg):
-    bundle = os.path.join(cfg.out_dir, "model_final")
-    model = mfae.load_model(bundle)
-    with open(os.path.join(cfg.out_dir, "calibration.json")) as fh:
-        calibration = json.load(fh)
-    lf = load_csv(cfg.lf_set)
-    hf = load_csv(cfg.hf_set)
-    split = _load_split(cfg)
+    calibration = _read_json(os.path.join(cfg.out_dir, "calibration.json"))
+    model, lf, hf, split = _stage_inputs(cfg, "model_final")
     test_names = split["test_names"]
     _leakage_check(model.provenance, test_names)
     radius = np.array(calibration["R_star"], dtype=np.float64)
@@ -433,21 +409,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _setup_logging()
     try:
-        cfg = load_config(args.config)
+        with open(args.config) as fh:
+            cfg = parse_config(fh.read())
         if args.out is not None:
             cfg.out_dir = args.out
         if args.seed is not None:
             cfg.seed = args.seed
-        if args.command == "degrade":
-            cmd_degrade(cfg)
-        elif args.command == "pretrain":
-            cmd_pretrain(cfg)
-        elif args.command == "calibrate":
-            cmd_calibrate(cfg)
-        elif args.command == "finetune":
-            cmd_finetune(cfg)
-        else:
-            cmd_evaluate(cfg)
+        # looked up by name at call time, so a rebound cmd_* is the one run
+        globals()[f"cmd_{args.command}"](cfg)
     except (nn.TrainingDiverged, np.linalg.LinAlgError, FloatingPointError) as exc:
         log.error("numeric failure: %s", exc)
         print(f"error: {exc}", file=sys.stderr)

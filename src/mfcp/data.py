@@ -124,12 +124,21 @@ def _lines(fh):
         yield line
 
 
+def _records(path, fh):
+    """csv.reader over `fh`. A cell over the csv module's field size limit
+    raises ValueError naming `path` instead of csv.Error."""
+    try:
+        yield from csv.reader(fh)
+    except csv.Error as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _scan_body(path, width):
     """The node rows of a fields CSV without the node column, parsed cell by
     cell. It defines what `load_csv` accepts, and runs only when loadtxt
     fails there: it names the first ragged row or non-numeric cell."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _records(path, fh)
         next(reader)
         rows = []
         for k, row in enumerate(reader, start=2):
@@ -143,7 +152,7 @@ def load_csv(path, params_path=None) -> SnapshotSet:
     """Load a snapshot set written by `save_csv`."""
     params_path = params_path or params_path_for(path)
     with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
+        header = next(_records(path, fh), None)
         # The node column is a label and is never parsed. No usecols: with it
         # loadtxt would accept rows that are too long. An empty body is
         # reported as "no node rows" below, not as loadtxt's warning.
@@ -173,7 +182,7 @@ def load_csv(path, params_path=None) -> SnapshotSet:
     if values.shape[0] == 0:
         raise ValueError(f"{path}: no node rows")
     with open(params_path, newline="") as fh:
-        prows = list(csv.reader(fh))
+        prows = list(_records(params_path, fh))
     if not prows or prows[0][:1] != ["name"]:
         raise ValueError(f"{params_path}: first header column must be 'name'")
     param_names = prows[0][1:]

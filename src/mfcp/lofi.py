@@ -8,7 +8,7 @@ seeds.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields as dc_fields
 
 import numpy as np
 
@@ -16,7 +16,13 @@ from . import linalg
 from .data import SnapshotSet
 
 
-def _truncate_by_energy(x, energy):
+def pod_truncate(x, energy):
+    """Rank-truncate a D x N snapshot matrix by cumulative modal energy.
+
+    Keeps the smallest leading mode count whose cumulative squared singular
+    values reach `energy` (fraction of the total); returns the truncated
+    reconstruction, that mode count and the energy fraction it retains.
+    """
     if not 0.0 < energy <= 1.0:
         raise ValueError("energy must be in (0, 1]")
     svd = linalg.thin_svd(x)
@@ -24,17 +30,6 @@ def _truncate_by_energy(x, energy):
     ratios = cum / cum[-1]
     r_star = int(np.argmax(ratios >= energy)) + 1
     return svd.reconstruct(r_star), r_star, float(ratios[r_star - 1])
-
-
-def pod_truncate(x, energy):
-    """Rank-truncate a D x N snapshot matrix by cumulative modal energy.
-
-    Keeps the smallest leading mode count whose cumulative squared singular
-    values reach `energy` (fraction of the total); returns the truncated
-    reconstruction and that mode count.
-    """
-    x_r, r_star, _ = _truncate_by_energy(x, energy)
-    return x_r, r_star
 
 
 def fps(points, m, seed, start=None):
@@ -143,6 +138,10 @@ def perturb(x, sigma, bias, seed):
 
 
 # --- declarative recipes ---------------------------------------------------
+#
+# Each stage maps (fields, coords, seed) to (fields, coords, provenance
+# entry). Geometry masks (FPS, KNN centers, voxel cells) come from the shared
+# node coordinates and apply to every snapshot.
 
 
 @dataclass
@@ -150,12 +149,20 @@ class PodTruncate:
     energy: float
     kind = "pod_truncate"
 
+    def apply(self, fields, coords, seed):
+        fields, r_star, retained = pod_truncate(fields, self.energy)
+        return fields, coords, {"r_star": r_star, "retained_energy": retained}
+
 
 @dataclass
 class Fps:
     m: int
     seed: int = None
     kind = "fps"
+
+    def apply(self, fields, coords, seed):
+        mask = fps(coords, self.m, seed)
+        return fields[mask], coords[mask], {"mask": list(mask)}
 
 
 @dataclass
@@ -165,6 +172,11 @@ class KnnAverage:
     seed: int = None
     kind = "knn_average"
 
+    def apply(self, fields, coords, seed):
+        centers = fps(coords, self.m, seed)
+        fields = knn_average(coords, fields, centers, self.k)
+        return fields, coords[centers], {"mask": list(centers)}
+
 
 @dataclass
 class Voxelize:
@@ -172,11 +184,18 @@ class Voxelize:
     pca_align: bool = False
     kind = "voxelize"
 
+    def apply(self, fields, coords, seed):
+        coords, fields = voxelize(coords, fields, self.size, self.pca_align)
+        return fields, coords, {"n_cells": coords.shape[0]}
+
 
 @dataclass
 class Quantize:
     levels: int
     kind = "quantize"
+
+    def apply(self, fields, coords, seed):
+        return quantize(fields, self.levels), coords, {"levels": self.levels}
 
 
 @dataclass
@@ -185,14 +204,48 @@ class Noise:
     seed: int = None
     kind = "noise"
 
+    def apply(self, fields, coords, seed):
+        return perturb(fields, self.sigma, 0.0, seed), coords, {"sigma": self.sigma}
+
 
 @dataclass
 class Bias:
     offset: float
     kind = "bias"
 
+    def apply(self, fields, coords, seed):
+        return perturb(fields, 0.0, self.offset, 0), coords, {"offset": self.offset}
+
 
 STAGE_TYPES = {c.kind: c for c in (PodTruncate, Fps, KnnAverage, Voxelize, Quantize, Noise, Bias)}
+
+# JSON value types each annotated stage field accepts; bool is an int
+# subclass, so it is excluded from the numeric fields separately
+_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,)}
+
+
+def _stage_from_doc(pos, sdoc):
+    """Build stage number `pos` from its JSON object, checking every field."""
+    if not isinstance(sdoc, dict):
+        raise ValueError(f"recipe stage {pos}: expected an object, got {sdoc!r}")
+    sdoc = dict(sdoc)
+    kind = sdoc.pop("kind", None)
+    if not isinstance(kind, str) or kind not in STAGE_TYPES:
+        raise ValueError(f"recipe stage {pos}: unknown kind {kind!r}")
+    spec = {f.name: f for f in dc_fields(STAGE_TYPES[kind])}
+    for name, value in sdoc.items():
+        if name not in spec:
+            raise ValueError(f"recipe stage {pos} ({kind}): unknown field {name!r}")
+        t = spec[name].type
+        if value is None and spec[name].default is None:
+            continue
+        if not isinstance(value, _JSON_TYPES[t]) or (t is not bool and isinstance(value, bool)):
+            raise ValueError(f"recipe stage {pos} ({kind}): field {name!r} must be "
+                             f"{t.__name__}, got {value!r}")
+    missing = [n for n, f in spec.items() if f.default is MISSING and n not in sdoc]
+    if missing:
+        raise ValueError(f"recipe stage {pos} ({kind}): missing field(s) {missing}")
+    return STAGE_TYPES[kind](**sdoc)
 
 
 @dataclass
@@ -210,14 +263,9 @@ class DegradationRecipe:
     @classmethod
     def from_json(cls, text):
         doc = json.loads(text)
-        stages = []
-        for sdoc in doc["stages"]:
-            sdoc = dict(sdoc)
-            kind = sdoc.pop("kind")
-            if kind not in STAGE_TYPES:
-                raise ValueError(f"unknown recipe stage {kind!r}")
-            stages.append(STAGE_TYPES[kind](**sdoc))
-        return cls(stages)
+        if not isinstance(doc, dict) or not isinstance(doc.get("stages"), list):
+            raise ValueError("recipe must be a JSON object with a 'stages' list")
+        return cls([_stage_from_doc(pos, sdoc) for pos, sdoc in enumerate(doc["stages"])])
 
 
 def _stage_seed(stage, master_seed, position):
@@ -231,45 +279,15 @@ def _stage_seed(stage, master_seed, position):
 def apply_recipe(s, recipe, master_seed=0):
     """Run a degradation recipe over a snapshot set.
 
-    Geometry masks (FPS, KNN centers, voxel cells) are computed once from
-    the shared node coordinates and applied to every snapshot. Returns the
-    degraded set and a provenance dict (kept mode count, retained energy,
-    mask indices).
+    Returns the degraded set and a provenance dict with one entry per stage
+    (kept mode count, retained energy, mask indices, ...).
     """
     fields = s.fields.copy()
     coords = s.coords.copy()
     provenance = {"stages": []}
     for pos, stage in enumerate(recipe.stages):
-        entry = {"kind": stage.kind}
-        if isinstance(stage, PodTruncate):
-            fields, r_star, retained = _truncate_by_energy(fields, stage.energy)
-            entry["r_star"] = r_star
-            entry["retained_energy"] = retained
-        elif isinstance(stage, Fps):
-            mask = fps(coords, stage.m, _stage_seed(stage, master_seed, pos))
-            fields = fields[mask]
-            coords = coords[mask]
-            entry["mask"] = list(mask)
-        elif isinstance(stage, KnnAverage):
-            centers = fps(coords, stage.m, _stage_seed(stage, master_seed, pos))
-            fields = knn_average(coords, fields, centers, stage.k)
-            coords = coords[centers]
-            entry["mask"] = list(centers)
-        elif isinstance(stage, Voxelize):
-            coords, fields = voxelize(coords, fields, stage.size, stage.pca_align)
-            entry["n_cells"] = coords.shape[0]
-        elif isinstance(stage, Quantize):
-            fields = quantize(fields, stage.levels)
-            entry["levels"] = stage.levels
-        elif isinstance(stage, Noise):
-            fields = perturb(fields, stage.sigma, 0.0, _stage_seed(stage, master_seed, pos))
-            entry["sigma"] = stage.sigma
-        elif isinstance(stage, Bias):
-            fields = perturb(fields, 0.0, stage.offset, 0)
-            entry["offset"] = stage.offset
-        else:
-            raise ValueError(f"unknown stage {stage!r}")
-        provenance["stages"].append(entry)
+        fields, coords, entry = stage.apply(fields, coords, _stage_seed(stage, master_seed, pos))
+        provenance["stages"].append({"kind": stage.kind, **entry})
     out = SnapshotSet(
         fields=fields,
         coords=coords,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import nn
-from .data import SnapshotSet, NormStats, compute_norm_stats
+from .data import NormStats, compute_norm_stats
 
 PHASE_PRETRAINED = "pretrained"
 PHASE_FINE_TUNED = "fine_tuned"
@@ -73,23 +73,16 @@ def clone(model) -> MfaeModel:
     return copy.deepcopy(model)
 
 
-def _as_samples(x_lf):
-    """Accept a SnapshotSet or a (D, N) matrix; return fields (D, N)."""
-    if isinstance(x_lf, SnapshotSet):
-        return x_lf.fields
-    a = np.asarray(x_lf, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError("expected a SnapshotSet or a (D, N) matrix")
-    return a
-
-
 def pretrain(config, x_lf) -> MfaeModel:
     """Phase one: train encoder+decoder to reconstruct the LF snapshots.
 
-    Normalization statistics are fit on the given snapshots and stored on
-    the model; training is full-batch MSE for `config.pretrain_epochs`.
+    `x_lf` is the (d_lf, N) snapshot matrix. Normalization statistics are
+    fit on it and stored on the model; training is full-batch MSE for
+    `config.pretrain_epochs`.
     """
-    fields = _as_samples(x_lf)
+    fields = np.asarray(x_lf, dtype=np.float64)
+    if fields.ndim != 2:
+        raise ValueError("x_lf must be a (d_lf, N) matrix")
     if fields.shape[0] != config.d_lf:
         raise ValueError(f"snapshots have {fields.shape[0]} nodes, config.d_lf={config.d_lf}")
     lf_stats = compute_norm_stats(fields, config.normalization)
@@ -187,11 +180,6 @@ def _run(model, x_lf, nets, out_stats=None):
 def encode(model, x_lf):
     """Latent coordinates of one snapshot (d_lf,) or a batch (d_lf, n)."""
     return _run(model, x_lf, [model.encoder])
-
-
-def reconstruct(model, x_lf):
-    """Decoder round-trip in LF units (any phase): decode(encode(x))."""
-    return _run(model, x_lf, [model.encoder, model.decoder], model.lf_stats)
 
 
 def predict(model, x_lf):

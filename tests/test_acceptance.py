@@ -323,7 +323,7 @@ def test_a9_pod_energy_bracketing_and_error_identity():
         n = int(rng.integers(4, 65))
         x = rng.normal(size=(d, n)) * rng.uniform(0.1, 10.0)
         threshold = float(rng.uniform(0.5, 0.999))
-        x_r, r_star = lofi.pod_truncate(x, threshold)
+        x_r, r_star, _ = lofi.pod_truncate(x, threshold)
         sigma = np.linalg.svd(x, compute_uv=False)
         energies = np.cumsum(sigma**2) / np.sum(sigma**2)
         assert energies[r_star - 1] >= threshold

@@ -88,6 +88,22 @@ def test_identity_recipe_returns_input(tmp_path):
     assert np.array_equal(out.coords, hf.coords)
 
 
+@pytest.mark.parametrize("doc, message", [
+    ('{"stages": [{"kind": "fps", "mm": 3}]}', "recipe stage 0 (fps): unknown field 'mm'"),
+    ('{"stages": 5}', "recipe must be a JSON object with a 'stages' list"),
+    ("[1]", "recipe must be a JSON object with a 'stages' list"),
+    ('{"stages": [{"kind": "fps", "m": "x"}]}', "recipe stage 0 (fps): field 'm' must be int, got 'x'"),
+], ids=["unknown-field", "stages-not-a-list", "top-level-list", "string-for-int"])
+def test_malformed_recipe_exits_2(tmp_path, capsys, doc, message):
+    save_csv(make_pressure_set(8, 10, seed=2), tmp_path / "hf.csv")
+    (tmp_path / "recipe.json").write_text(doc)
+    cfg = PipelineConfig(hf_set=str(tmp_path / "hf.csv"), recipe=str(tmp_path / "recipe.json"),
+                         out_dir=str(tmp_path / "out"))
+    (tmp_path / "c.txt").write_text(dump_config(cfg))
+    assert cli.main(["degrade", "--config", str(tmp_path / "c.txt")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_degrade_reruns_bit_identical(pipeline):
     root, cfg, cfg_path = pipeline
     first = file_digest(root / "out" / "lf.csv")

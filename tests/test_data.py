@@ -191,6 +191,25 @@ def test_csv_errors_name_the_first_bad_line(tmp_path, body, message):
     assert degrade_exit_code(path) == 2
 
 
+# one cell over the csv module's default field size limit of 131,072 characters
+BIG_CELL = "x" * 200_000
+
+
+@pytest.mark.parametrize("where", ["header", "body", "params"])
+def test_csv_oversized_cell_is_a_value_error(tmp_path, capsys, where):
+    path, params = tmp_path / "big.csv", tmp_path / "big_params.csv"
+    bad_fields = {"header": f"node,x,{BIG_CELL}\n0,0.0,1.0\n", "body": f"node,x,a\n0,0.0,{BIG_CELL}\n"}
+    path.write_text(bad_fields.get(where, "node,x,a\n0,0.0,1.0\n"))
+    params.write_text(f"name,p\na,{BIG_CELL}\n" if where == "params" else "name,p\na,1\n")
+    bad = params if where == "params" else path
+    with pytest.raises(ValueError, match="field larger than field limit") as exc:
+        data.load_csv(path)
+    assert str(exc.value).startswith(f"{bad}: ")
+    capsys.readouterr()
+    assert degrade_exit_code(path) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: field larger than field limit")
+
+
 @pytest.mark.parametrize("eol", ["\n", "\r\n"])
 def test_csv_line_ends_and_node_labels(tmp_path, eol):
     path = tmp_path / "set.csv"

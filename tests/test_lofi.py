@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from mfcp import lofi
+from mfcp import linalg, lofi
 from mfcp.lofi import (
     Bias,
     DegradationRecipe,
@@ -18,7 +20,7 @@ from helpers import make_pressure_set
 
 def test_pod_rank_one_is_exact():
     x = np.outer(np.arange(1.0, 5.0), np.array([2.0, -1.0, 3.0]))
-    x_r, r_star = lofi.pod_truncate(x, 0.5)
+    x_r, r_star, _ = lofi.pod_truncate(x, 0.5)
     assert r_star == 1
     assert np.max(np.abs(x_r - x)) <= 1e-10
 
@@ -26,17 +28,19 @@ def test_pod_rank_one_is_exact():
 def test_pod_forced_threshold_arithmetic():
     # singular values {3, 1}: cumulative energy ratios {0.9, 1.0}
     x = np.diag([3.0, 1.0])
-    x_r, r_star = lofi.pod_truncate(x, 0.9)
+    x_r, r_star, retained = lofi.pod_truncate(x, 0.9)
     assert r_star == 1
+    assert retained == 0.9
     assert np.allclose(x_r, [[3.0, 0.0], [0.0, 0.0]], atol=1e-12)
-    _, r_full = lofi.pod_truncate(x, 0.95)
+    _, r_full, retained = lofi.pod_truncate(x, 0.95)
     assert r_full == 2
+    assert retained == 1.0
 
 
 def test_pod_energy_one_returns_full_rank():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(6, 4))
-    x_r, r_star = lofi.pod_truncate(x, 1.0)
+    x_r, r_star, _ = lofi.pod_truncate(x, 1.0)
     assert r_star == 4
     assert np.max(np.abs(x_r - x)) <= 1e-12
 
@@ -209,6 +213,77 @@ def test_recipe_json_round_trip():
     ])
     clone = DegradationRecipe.from_json(recipe.to_json())
     assert clone == recipe
+
+
+@pytest.mark.parametrize("stage, message", [
+    ({"kind": "quantize", "levels": True}, "field 'levels' must be int, got True"),
+    ({"kind": "quantize", "levels": 8.0}, "field 'levels' must be int, got 8.0"),
+    ({"kind": "bias", "offset": False}, "field 'offset' must be float, got False"),
+    ({"kind": "voxelize", "size": 0.5, "pca_align": 1}, "field 'pca_align' must be bool, got 1"),
+    ({"kind": "noise", "sigma": None}, "field 'sigma' must be float, got None"),
+    ({"kind": "knn_average", "m": 4}, "missing field(s) ['k']"),
+    ({"kind": "blur"}, "recipe stage 1: unknown kind 'blur'"),
+    ({"m": 4}, "recipe stage 1: unknown kind None"),
+    ("fps", "recipe stage 1: expected an object, got 'fps'"),
+], ids=["bool-for-int", "float-for-int", "bool-for-float", "int-for-bool", "null-for-float",
+        "missing-field", "unknown-kind", "no-kind", "not-an-object"])
+def test_recipe_from_json_checks_each_field(stage, message):
+    doc = json.dumps({"stages": [{"kind": "bias", "offset": 1}, stage]})
+    with pytest.raises(ValueError) as exc:
+        DegradationRecipe.from_json(doc)
+    assert message in str(exc.value)
+    assert "recipe stage 1" in str(exc.value)
+
+
+def test_recipe_from_json_accepts_ints_for_floats_and_null_seeds():
+    doc = '{"stages": [{"kind": "pod_truncate", "energy": 1}, {"kind": "fps", "m": 3, "seed": null}]}'
+    assert DegradationRecipe.from_json(doc) == DegradationRecipe([PodTruncate(energy=1),
+                                                                  Fps(m=3, seed=None)])
+
+
+def test_apply_recipe_matches_direct_chain_of_every_stage_kind():
+    s = make_pressure_set(9, 60, seed=13)
+    recipe = DegradationRecipe([
+        PodTruncate(energy=0.95),
+        Fps(m=40, seed=3),
+        KnnAverage(m=20, k=3, seed=4),
+        Voxelize(size=0.07),
+        Quantize(levels=32),
+        Noise(sigma=0.01, seed=5),
+        Bias(offset=-0.25),
+    ])
+    out, prov = lofi.apply_recipe(s, recipe, master_seed=99)
+
+    # indexing rather than unpacking the truncation result, and the retained
+    # energy recomputed from the singular values, so that this oracle does
+    # not lean on pod_truncate's provenance
+    pod = lofi.pod_truncate(s.fields, 0.95)
+    f, r_star = pod[0], pod[1]
+    cum = np.cumsum(linalg.thin_svd(s.fields).sigma ** 2)
+    retained = float((cum / cum[-1])[r_star - 1])
+    mask = lofi.fps(s.coords, 40, 3)
+    f, c = f[mask], s.coords[mask]
+    centers = lofi.fps(c, 20, 4)
+    f, c = lofi.knn_average(c, f, centers, 3), c[centers]
+    c, f = lofi.voxelize(c, f, 0.07)
+    n_cells = c.shape[0]
+    f = lofi.quantize(f, 32)
+    f = lofi.perturb(f, 0.01, 0.0, 5)
+    f = lofi.perturb(f, 0.0, -0.25, 0)
+
+    assert 1 < n_cells < 20  # the voxel stage merges some nodes and keeps others apart
+    assert np.array_equal(out.fields, f)
+    assert np.array_equal(out.coords, c)
+    assert np.array_equal(out.params, s.params) and out.names == s.names
+    assert prov == {"stages": [
+        {"kind": "pod_truncate", "r_star": r_star, "retained_energy": retained},
+        {"kind": "fps", "mask": mask},
+        {"kind": "knn_average", "mask": centers},
+        {"kind": "voxelize", "n_cells": n_cells},
+        {"kind": "quantize", "levels": 32},
+        {"kind": "noise", "sigma": 0.01},
+        {"kind": "bias", "offset": -0.25},
+    ]}
 
 
 def test_recipe_replay_bit_identical():
