@@ -7,6 +7,7 @@ Commands chain through files under the configured output directory:
     calibration.json      multi-split radii and the stopping epoch
     model_final/          phase-two bundle trained on all HF pairs
     report.json           metrics and coverage for the test sets
+    cache/                parsed snapshot CSVs keyed by their sha256; safe to delete
 
 Exit codes: 0 success, 2 validation/configuration error, 3 numeric failure.
 Logging level comes from the MFCP_LOG environment variable (error|info|debug).
@@ -61,6 +62,14 @@ class PipelineConfig:
 
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
+# key -> (test, the rule it states); a value fails when `not test(value)`,
+# so NaN fails every rule
+_VALUE_RULES = {
+    "patience": (lambda v: v >= 1, ">= 1"),
+    "learning_rate": (lambda v: v > 0, "> 0"),
+    "finetune_learning_rate": (lambda v: v >= 0, ">= 0 (0 -> learning_rate / 10)"),
+}
+
 
 def parse_config(text) -> PipelineConfig:
     """Parse the flat `key = value` config document."""
@@ -85,6 +94,9 @@ def parse_config(text) -> PipelineConfig:
             setattr(cfg, key, _BOOL_WORDS[val.lower()])
         else:
             setattr(cfg, key, t(val))
+    for key, (ok, rule) in _VALUE_RULES.items():
+        if not ok(getattr(cfg, key)):
+            raise ValueError(f"config key {key}: must be {rule}, got {getattr(cfg, key)!r}")
     return cfg
 
 
@@ -161,11 +173,17 @@ def _split_path(cfg):
     return os.path.join(cfg.out_dir, "split.json")
 
 
+def _load_set(cfg, path):
+    """The snapshot set at `path`, through the parse cache under out_dir."""
+    return load_csv(path, cache_dir=os.path.join(cfg.out_dir, "cache"))
+
+
 def _stage_inputs(cfg, bundle):
     """What calibrate, finetune and evaluate start from: the model bundle
     `bundle` under out_dir, the LF and HF sets and the split plan."""
     model = mfae.load_model(os.path.join(cfg.out_dir, bundle))
-    return model, load_csv(cfg.lf_set), load_csv(cfg.hf_set), _read_json(_split_path(cfg))
+    return (model, _load_set(cfg, cfg.lf_set), _load_set(cfg, cfg.hf_set),
+            _read_json(_split_path(cfg)))
 
 
 def _paired_matrices(lf, hf, names):
@@ -183,7 +201,7 @@ def cmd_degrade(cfg):
         raise ValueError("degrade needs a 'recipe' path in the config")
     with open(cfg.recipe) as fh:
         recipe = lofi.DegradationRecipe.from_json(fh.read())
-    hf = load_csv(cfg.hf_set)
+    hf = _load_set(cfg, cfg.hf_set)
     lf, provenance = lofi.apply_recipe(hf, recipe, master_seed=derive_seed(cfg.seed, "degrade"))
     os.makedirs(cfg.out_dir, exist_ok=True)
     out_path = os.path.join(cfg.out_dir, "lf.csv")
@@ -194,8 +212,8 @@ def cmd_degrade(cfg):
 
 
 def cmd_pretrain(cfg):
-    lf = load_csv(cfg.lf_set)
-    hf = load_csv(cfg.hf_set)
+    lf = _load_set(cfg, cfg.lf_set)
+    hf = _load_set(cfg, cfg.hf_set)
     plan = stratified_split(hf, cfg.hf_fraction, cfg.test_fraction, derive_seed(cfg.seed, "split"))
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_json(_split_path(cfg), {

@@ -6,8 +6,15 @@ as immutable; every operation returns new arrays.
 """
 
 import csv
+import hashlib
+import json
+import locale
 import math
+import os
+import tempfile
 import warnings
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,9 +155,87 @@ def _scan_body(path, width):
     return np.array(rows, dtype=np.float64).reshape(len(rows), width - 1)
 
 
-def load_csv(path, params_path=None) -> SnapshotSet:
-    """Load a snapshot set written by `save_csv`."""
+def load_csv(path, params_path=None, cache_dir=None) -> SnapshotSet:
+    """Load a snapshot set written by `save_csv`.
+
+    With `cache_dir`, the parsed set is kept there as `<sha256>.npz`, keyed
+    by the bytes of both files, and a later load of the same bytes reads
+    that entry instead of parsing. Only a successful parse is stored, and
+    an entry that cannot be read is parsed and written again.
+    """
     params_path = params_path or params_path_for(path)
+    if cache_dir is None:
+        return _parse_csv(path, params_path)
+    try:
+        key = _digest(path, params_path)
+    except OSError:
+        return _parse_csv(path, params_path)  # raises the parser's own error
+    entry = os.path.join(cache_dir, key + ".npz")
+    s = _cached(entry)
+    if s is None:
+        s = _parse_csv(path, params_path)
+        # a file rewritten while it was parsed must not be stored under its old key
+        if _digest(path, params_path) == key:
+            _store(entry, s)
+    return s
+
+
+# cache key prefix: the entry layout version, then the text encoding the
+# parser decodes names with
+_CACHE_TAG = f"mfcp snapshot cache 1\n{locale.getpreferredencoding(False)}\n".encode()
+
+
+def _digest(*paths):
+    """sha256 over the sha256 of each file, read in 1 MiB chunks."""
+    total = hashlib.sha256(_CACHE_TAG)
+    for path in paths:
+        h = hashlib.sha256()
+        with open(path, "rb") as fh:
+            while chunk := fh.read(1 << 20):
+                h.update(chunk)
+        total.update(h.digest())
+    return total.hexdigest()
+
+
+# what np.load and the checks in _cached raise for a missing, truncated,
+# empty, corrupt or foreign entry
+_UNREADABLE = (OSError, EOFError, KeyError, TypeError, ValueError, NotImplementedError,
+               zipfile.BadZipFile, zlib.error)
+
+
+def _cached(entry):
+    """The snapshot set stored at `entry`; None when there is none or it
+    cannot be read back as exactly what a parse returns."""
+    try:
+        with np.load(entry, allow_pickle=False) as z:
+            arrays = {k: z[k] for k in ("fields", "coords", "params")}
+            labels = json.loads(str(z["names"]))
+        if any(a.dtype != np.float64 or not a.flags.c_contiguous for a in arrays.values()):
+            return None
+        return SnapshotSet(**arrays, param_names=labels["param_names"], names=labels["names"])
+    except _UNREADABLE:
+        return None
+
+
+def _store(entry, s):
+    """Write `s` to `entry` through a temporary file, so that a reader sees
+    either no entry or a whole one."""
+    os.makedirs(os.path.dirname(entry), exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(entry), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            # names as one JSON string: a NumPy string array would drop
+            # trailing NULs, JSON escapes them
+            np.savez(fh, fields=s.fields, coords=s.coords, params=s.params,
+                     names=json.dumps({"names": s.names, "param_names": s.param_names}))
+        os.replace(tmp, entry)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _parse_csv(path, params_path):
+    """The snapshot set in a fields CSV and its params CSV."""
     with open(path, newline="") as fh:
         header = next(_records(path, fh), None)
         # The node column is a label and is never parsed. No usecols: with it

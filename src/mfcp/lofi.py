@@ -107,12 +107,16 @@ def voxelize(points, values, size, pca_align=False):
     return centers, means
 
 
+# the level grid is built in memory: 8 MiB at this bound
+MAX_LEVELS = 2**20
+
+
 def quantize(x, levels):
     """Snap every entry to the nearest of `levels` uniform levels spanning
     the global [min, max]; exact midpoints round toward the lower level.
     Constant input is returned unchanged."""
-    if levels < 2:
-        raise ValueError("levels must be >= 2")
+    if not 2 <= levels <= MAX_LEVELS:
+        raise ValueError(f"levels must be in 2..{MAX_LEVELS}, got {levels}")
     a = np.asarray(x, dtype=np.float64)
     vmin, vmax = float(a.min()), float(a.max())
     if vmin == vmax:

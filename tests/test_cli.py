@@ -1,13 +1,17 @@
+import contextlib
 import csv
+import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mfcp import cli, mfae
+from mfcp import cli, data, lofi, mfae
 from mfcp.cli import PipelineConfig, dump_config, parse_config
 from mfcp.data import load_csv, save_csv
 from mfcp.lofi import DegradationRecipe, Fps, PodTruncate
@@ -93,7 +97,9 @@ def test_identity_recipe_returns_input(tmp_path):
     ('{"stages": 5}', "recipe must be a JSON object with a 'stages' list"),
     ("[1]", "recipe must be a JSON object with a 'stages' list"),
     ('{"stages": [{"kind": "fps", "m": "x"}]}', "recipe stage 0 (fps): field 'm' must be int, got 'x'"),
-], ids=["unknown-field", "stages-not-a-list", "top-level-list", "string-for-int"])
+    ('{"stages": [{"kind": "quantize", "levels": 1000000000000000}]}',
+     "levels must be in 2..1048576, got 1000000000000000"),
+], ids=["unknown-field", "stages-not-a-list", "top-level-list", "string-for-int", "huge-levels"])
 def test_malformed_recipe_exits_2(tmp_path, capsys, doc, message):
     save_csv(make_pressure_set(8, 10, seed=2), tmp_path / "hf.csv")
     (tmp_path / "recipe.json").write_text(doc)
@@ -102,6 +108,27 @@ def test_malformed_recipe_exits_2(tmp_path, capsys, doc, message):
     (tmp_path / "c.txt").write_text(dump_config(cfg))
     assert cli.main(["degrade", "--config", str(tmp_path / "c.txt")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("patience = 0", "config key patience: must be >= 1, got 0"),
+    ("patience = -1", "config key patience: must be >= 1, got -1"),
+    ("learning_rate = 0", "config key learning_rate: must be > 0, got 0.0"),
+    ("learning_rate = -1", "config key learning_rate: must be > 0, got -1.0"),
+    ("learning_rate = nan", "config key learning_rate: must be > 0, got nan"),
+    ("finetune_learning_rate = -1e-3",
+     "config key finetune_learning_rate: must be >= 0 (0 -> learning_rate / 10), got -0.001"),
+])
+def test_out_of_range_config_values_exit_2(tmp_path, capsys, line, message):
+    (tmp_path / "c.txt").write_text(line + "\n")
+    for cmd in ("degrade", "pretrain", "calibrate"):
+        assert cli.main([cmd, "--config", str(tmp_path / "c.txt")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_config_value_rules_keep_their_boundaries():
+    cfg = parse_config("patience = 1\nlearning_rate = 1e-300\nfinetune_learning_rate = 0\n")
+    assert (cfg.patience, cfg.learning_rate, cfg.finetune_learning_rate) == (1, 1e-300, 0.0)
 
 
 def test_degrade_reruns_bit_identical(pipeline):
@@ -356,3 +383,119 @@ def test_full_chain_reruns_byte_identical(pipeline, tmp_path_factory):
     assert file_digest(rerun / "out" / "report.json") == file_digest(root / "out" / "report.json")
     assert file_digest(rerun / "out" / "calibration.json") == \
         file_digest(root / "out" / "calibration.json")
+
+
+def tree_digests(out):
+    """sha256 of every file under `out` except the parse cache."""
+    return {os.path.relpath(os.path.join(d, n), out): file_digest(os.path.join(d, n))
+            for d, dirs, names in os.walk(out) if "cache" not in os.path.relpath(d, out).split(os.sep)
+            for n in names}
+
+
+def test_stages_over_a_hot_cache_write_the_bytes_of_a_cold_run(tmp_path, monkeypatch):
+    save_csv(make_pressure_set(60, 24, seed=1), tmp_path / "hf.csv")
+    recipe = DegradationRecipe([PodTruncate(energy=0.9), Fps(m=12, seed=11)])
+    (tmp_path / "recipe.json").write_text(recipe.to_json())
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text(dump_config(chain_config(tmp_path)))
+    run_chain(tmp_path, cfg_path)  # from an empty out/: degrade and pretrain fill the cache
+    cold = tree_digests(tmp_path / "out")
+    assert "report.json" in cold and len(cold) > 10
+    assert len(os.listdir(tmp_path / "out" / "cache")) == 2  # hf.csv and lf.csv
+
+    def no_parse(*args):
+        raise AssertionError("parsed instead of read from the cache")
+
+    monkeypatch.setattr(data, "_parse_csv", no_parse)
+    run_chain(tmp_path, cfg_path)
+    assert tree_digests(tmp_path / "out") == cold
+
+
+# --- fuzzed config documents and recipes ------------------------------------------
+
+
+def fuzz_root(tmp_path_factory):
+    """A tiny HF set, its degraded LF set and a recipe, made once per session."""
+    root = tmp_path_factory.getbasetemp() / "fuzz_cli"
+    if not root.exists():
+        root.mkdir()
+        save_csv(make_pressure_set(30, 16, seed=4), root / "hf.csv")
+        (root / "recipe.json").write_text(DegradationRecipe([Fps(m=8, seed=3)]).to_json())
+        cfg = PipelineConfig(hf_set=str(root / "hf.csv"), recipe=str(root / "recipe.json"),
+                             out_dir=str(root / "lf"))
+        (root / "c.txt").write_text(dump_config(cfg))
+        assert cli.main(["degrade", "--config", str(root / "c.txt")]) == 0
+    return root
+
+
+def run_cli(*argv):
+    """cli.main's exit code; a code other than 0 must come with an error line."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(list(argv))
+    assert code in (0, 2, 3)
+    if code:
+        assert err.getvalue().startswith("error: "), err.getvalue()
+    return code
+
+
+PATH_KEYS = ("lf_set", "hf_set", "out_dir", "recipe")
+# digits only in values of at most three characters, so that no width or
+# epoch count exceeds 999
+CONFIG_VALUES = st.one_of(
+    st.sampled_from(["", "0", "1", "-1", "2", "3", "8", "16", "nan", "inf", "-inf", "1e308",
+                     "0.5", "1e-3", "true", "no", "maybe", "8,3", "8,,8", "1_0", " 7 ", "none",
+                     "global_minmax", "per_node_standard", "linf", "0x10"]),
+    st.text(alphabet="0123456789.-+e,_ anx", max_size=3),
+)
+CONFIG_LINES = st.builds("{} = {}".format,
+                         st.sampled_from([f.name for f in dataclasses.fields(PipelineConfig)
+                                          if f.name not in PATH_KEYS] + ["bogus", ""]),
+                         CONFIG_VALUES)
+JUNK_LINES = st.text(alphabet="ab_=# \t\r\n\x00\u00e9\u2028", max_size=12)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(lines=st.lists(CONFIG_LINES, max_size=6), junk=st.lists(JUNK_LINES, max_size=1))
+def test_fuzzed_config_exits_0_2_or_3(tmp_path_factory, lines, junk):
+    root = fuzz_root(tmp_path_factory)
+    base = PipelineConfig(d_lf=8, d_hf=16, encoder_widths="6", latent_dim=2, decoder_widths="6",
+                          pretrain_epochs=5)
+    paths = {"lf_set": root / "lf" / "lf.csv", "hf_set": root / "hf.csv", "out_dir": root / "out",
+             "recipe": root / "recipe.json"}
+    doc = dump_config(base) + "\n".join(junk + lines) + "\n"
+    doc += "".join(f"{key} = {path}\n" for key, path in paths.items())  # later lines win
+    (root / "fuzz.txt").write_text(doc)
+    for cmd in ("degrade", "pretrain"):
+        run_cli(cmd, "--config", str(root / "fuzz.txt"))
+
+
+JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-2, 40), st.floats(),
+                        st.text(max_size=3))
+JSON_VALUES = st.recursive(JSON_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+# well-formed stage objects with fuzzed values, a stray field now and then
+STAGE_DOCS = st.one_of(*[
+    st.fixed_dictionaries({"kind": st.just(kind)},
+                          optional={**{f.name: JSON_LEAVES for f in dataclasses.fields(cls)},
+                                    "stray": JSON_LEAVES})
+    for kind, cls in lofi.STAGE_TYPES.items()
+])
+RECIPE_TEXTS = st.one_of(
+    st.lists(st.one_of(STAGE_DOCS, JSON_VALUES), max_size=3).map(
+        lambda stages: json.dumps({"stages": stages})),
+    JSON_VALUES.map(json.dumps),
+    st.text(max_size=20),
+)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(recipe=st.one_of(RECIPE_TEXTS.map(str.encode), st.binary(max_size=20)))
+def test_fuzzed_recipe_exits_0_2_or_3(tmp_path_factory, recipe):
+    root = fuzz_root(tmp_path_factory)
+    (root / "fuzz.json").write_bytes(recipe)
+    cfg = PipelineConfig(hf_set=str(root / "hf.csv"), recipe=str(root / "fuzz.json"),
+                         out_dir=str(root / "out"))
+    (root / "fuzz_recipe.txt").write_text(dump_config(cfg))
+    run_cli("degrade", "--config", str(root / "fuzz_recipe.txt"))

@@ -183,12 +183,15 @@ def test_csv_errors_name_the_first_bad_line(tmp_path, body, message):
     path = tmp_path / "bad.csv"
     (tmp_path / "bad_params.csv").write_text("name,p\na,1\n")
     path.write_text("node,x,a\n" + body)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError) as exc:
-            data.load_csv(path)
-    assert str(exc.value) == message.format(path=path)
+    for cache_dir in (None, tmp_path / "cache"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                data.load_csv(path, cache_dir=cache_dir)
+        assert str(exc.value) == message.format(path=path)
     assert degrade_exit_code(path) == 2
+    # a file that fails to parse is never cached
+    assert not (tmp_path / "cache").exists() and not (tmp_path / "out" / "cache").exists()
 
 
 # one cell over the csv module's default field size limit of 131,072 characters
@@ -208,6 +211,123 @@ def test_csv_oversized_cell_is_a_value_error(tmp_path, capsys, where):
     capsys.readouterr()
     assert degrade_exit_code(path) == 2
     assert capsys.readouterr().err.startswith(f"error: {bad}: field larger than field limit")
+
+
+# --- the parse cache ------------------------------------------------------------
+
+
+def cache_set():
+    """Names that a CSV quotes or escapes, or that a NumPy string array would
+    alter: a comma, a quote, a newline, non-ASCII, trailing spaces and NULs."""
+    return data.SnapshotSet(
+        fields=np.array([[-0.0, 5e-324, 1 / 3, 1e308], [np.inf, -1 / 7, 2.0, np.nan]]),
+        coords=np.array([[-0.0, 1.5], [1 / 3, -0.0]]),
+        params=np.array([[-0.0], [5e-324], [1 / 3], [-2.5]]),
+        param_names=["Mach, ∞ "],
+        names=["a,b", 'say "c"', "line\nbreak", "Ünïcode \x00\x00"],
+    )
+
+
+def entries(cache_dir):
+    return sorted(p.name for p in cache_dir.iterdir()) if cache_dir.exists() else []
+
+
+def no_parse(*args):
+    raise AssertionError("parsed instead of read from the cache")
+
+
+def assert_same_set(got, want):
+    assert got.names == want.names and got.param_names == want.param_names
+    for a, b in ((got.fields, want.fields), (got.coords, want.coords), (got.params, want.params)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()  # -0.0 and NaN bits too
+        assert a.dtype == np.float64 and a.flags.c_contiguous
+
+
+def test_cache_hit_gives_the_bits_of_a_parse(tmp_path, monkeypatch):
+    s, cache = cache_set(), tmp_path / "cache"
+    data.save_csv(s, tmp_path / "set.csv")
+    parsed = data.load_csv(tmp_path / "set.csv")
+    assert_same_set(parsed, s)
+    assert entries(cache) == []
+    assert_same_set(data.load_csv(tmp_path / "set.csv", cache_dir=cache), parsed)  # miss, stored
+    [entry] = entries(cache)
+    assert entry.endswith(".npz") and len(entry) == 64 + 4
+    monkeypatch.setattr(data, "_parse_csv", no_parse)
+    assert_same_set(data.load_csv(tmp_path / "set.csv", cache_dir=cache), parsed)  # hit
+    assert entries(cache) == [entry]
+
+
+@pytest.mark.parametrize("which", ["fields", "params"])
+def test_cache_one_changed_byte_is_a_miss(tmp_path, which):
+    cache = tmp_path / "cache"
+    data.save_csv(small_set(), tmp_path / "set.csv")
+    first = data.load_csv(tmp_path / "set.csv", cache_dir=cache)
+    path = tmp_path / ("set.csv" if which == "fields" else "set_params.csv")
+    text = path.read_bytes()
+    path.write_bytes(text.replace(b"0.20000000000000001", b"0.30000000000000001")
+                     .replace(b"\r\n2,1,3,6", b"\r\n2,1,3,7"))
+    assert path.read_bytes() != text
+    changed = data.load_csv(tmp_path / "set.csv", cache_dir=cache)
+    assert len(entries(cache)) == 2
+    assert_same_set(changed, data.load_csv(tmp_path / "set.csv"))
+    moved = changed.fields if which == "fields" else changed.params
+    kept = first.fields if which == "fields" else first.params
+    assert not np.array_equal(moved, kept)
+
+
+@pytest.mark.parametrize("fields, params", [
+    (None, "name,alpha\na,0.1\n"),
+    ("node,x,a\n0,0.0,1.0\n", None),
+    ("node,x,a\n0,0.0\n", None),
+], ids=["no-fields-file", "no-params-file", "ragged-and-no-params-file"])
+def test_cache_keeps_the_error_of_an_unreadable_input(tmp_path, fields, params):
+    if fields is not None:
+        (tmp_path / "set.csv").write_text(fields)
+    if params is not None:
+        (tmp_path / "set_params.csv").write_text(params)
+    messages = []
+    for cache_dir in (None, tmp_path / "cache"):
+        with pytest.raises((OSError, ValueError)) as exc:
+            data.load_csv(tmp_path / "set.csv", cache_dir=cache_dir)
+        messages.append((type(exc.value), str(exc.value)))
+    assert messages[0] == messages[1]
+    assert entries(tmp_path / "cache") == []
+
+
+def foreign_npz(path):
+    np.savez(path, other=np.arange(3.0))
+
+
+def float32_npz(path):
+    s = small_set()
+    np.savez(path, fields=s.fields, coords=s.coords, params=s.params.astype(np.float32),
+             names='{"names": ["a", "b"], "param_names": ["alpha"]}')
+
+
+def fortran_npz(path):
+    s = small_set()
+    np.savez(path, fields=np.asfortranarray(s.fields), coords=s.coords, params=s.params,
+             names='{"names": ["a", "b"], "param_names": ["alpha"]}')
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda p: p.write_bytes(p.read_bytes()[: len(p.read_bytes()) // 2]),
+    lambda p: p.write_bytes(b""),
+    lambda p: p.write_text("not a zip file\n"),
+    foreign_npz,
+    float32_npz,
+    fortran_npz,
+], ids=["truncated", "empty", "not-a-zip", "foreign-keys", "float32", "fortran-order"])
+def test_cache_unreadable_entry_is_a_miss_and_is_replaced(tmp_path, monkeypatch, spoil):
+    s, cache = small_set(), tmp_path / "cache"
+    data.save_csv(s, tmp_path / "set.csv")
+    data.load_csv(tmp_path / "set.csv", cache_dir=cache)
+    [entry] = entries(cache)
+    spoil(cache / entry)
+    assert_same_set(data.load_csv(tmp_path / "set.csv", cache_dir=cache), s)
+    assert entries(cache) == [entry]
+    monkeypatch.setattr(data, "_parse_csv", no_parse)
+    assert_same_set(data.load_csv(tmp_path / "set.csv", cache_dir=cache), s)
 
 
 @pytest.mark.parametrize("eol", ["\n", "\r\n"])

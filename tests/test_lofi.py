@@ -183,6 +183,16 @@ def test_quantize_midpoint_rounds_down():
     assert np.array_equal(out, [0.0, 0.0, 2.0])
 
 
+def test_quantize_rejects_levels_outside_the_bound():
+    x = np.array([0.0, 0.3, 1.0])
+    for levels in (1, lofi.MAX_LEVELS + 1, 10**15):
+        with pytest.raises(ValueError, match=f"levels must be in 2..1048576, got {levels}$"):
+            lofi.quantize(x, levels)
+    q = lofi.quantize(x, lofi.MAX_LEVELS)
+    assert q[0] == 0.0 and q[2] == 1.0
+    assert abs(q[1] - 0.3) <= 0.5 / (lofi.MAX_LEVELS - 1)
+
+
 def test_quantize_constant_input_unchanged():
     x = np.full((3, 3), 4.2)
     assert np.array_equal(lofi.quantize(x, 5), x)
