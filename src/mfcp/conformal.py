@@ -20,13 +20,13 @@ SCORE_KINDS = ("linf", "normalized_l2")
 S_FLOOR = 1e-8
 
 
-def modulation(residuals, s_floor=S_FLOOR):
+def modulation(residuals):
     """Per-component population standard deviation of an (n, D) residual
-    matrix, clamped below by `s_floor`."""
+    matrix, clamped below by `S_FLOOR`."""
     r = np.asarray(residuals, dtype=np.float64)
     if r.ndim != 2 or r.shape[0] < 2:
         raise ValueError("need at least 2 residual rows")
-    return np.maximum(r.std(axis=0), s_floor)
+    return np.maximum(r.std(axis=0), S_FLOOR)
 
 
 def scores(residuals, s, kind):
@@ -86,9 +86,9 @@ class ConformalCalibration:
     radius: np.ndarray
 
 
-def calibrate(residuals, delta, kind, s_floor=S_FLOOR) -> ConformalCalibration:
+def calibrate(residuals, delta, kind) -> ConformalCalibration:
     """Textbook single-split calibration from an (n, D) residual matrix."""
-    s = modulation(residuals, s_floor)
+    s = modulation(residuals)
     k_s = critical_quantile(scores(residuals, s, kind), delta)
     return ConformalCalibration(s=s, delta=delta, kind=kind,
                                 critical_quantile=k_s, radius=k_s * s)
@@ -105,8 +105,6 @@ class SplitRecord:
 
 @dataclass
 class MultiSplitCalibration:
-    radii: np.ndarray  # (B, D)
-    epochs: list  # B best epochs
     radius: np.ndarray  # component-wise median of the split radii
     epoch: int  # median of the split epochs, rounded up
     delta: float
@@ -178,14 +176,9 @@ def multi_split_calibrate(x_lf, y_hf, pretrained, n_splits, cal_fraction, delta,
         )
 
     records = [run_split(b) for b in range(n_splits)]
-
-    radii = np.stack([rec.radius for rec in records])
-    epochs = [rec.epoch for rec in records]
     return MultiSplitCalibration(
-        radii=radii,
-        epochs=epochs,
-        radius=np.median(radii, axis=0),
-        epoch=_median_epoch(epochs),
+        radius=np.median(np.stack([rec.radius for rec in records]), axis=0),
+        epoch=_median_epoch([rec.epoch for rec in records]),
         delta=delta,
         kind=kind,
         splits=records,
@@ -202,11 +195,13 @@ class CoverageStats:
 
 
 def coverage(lower, upper, truths) -> CoverageStats:
-    """Band containment statistics; boundary contact counts as covered."""
-    lo = np.atleast_2d(np.asarray(lower, dtype=np.float64))
-    hi = np.atleast_2d(np.asarray(upper, dtype=np.float64))
-    t = np.atleast_2d(np.asarray(truths, dtype=np.float64))
-    lo, hi = np.broadcast_to(lo, t.shape), np.broadcast_to(hi, t.shape)
+    """Band containment statistics over (n, D) bounds and truths, one row
+    per snapshot; boundary contact counts as covered."""
+    lo = np.asarray(lower, dtype=np.float64)
+    hi = np.asarray(upper, dtype=np.float64)
+    t = np.asarray(truths, dtype=np.float64)
+    if t.ndim != 2 or lo.shape != t.shape or hi.shape != t.shape:
+        raise ValueError("lower, upper and truths must be (n, D) matrices of one shape")
     inside = (t >= lo) & (t <= hi)
     widths = hi - lo
     return CoverageStats(

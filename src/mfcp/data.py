@@ -94,16 +94,15 @@ def _write_rows(fh, body, eol):
         fh.write(line % (i, *row))
 
 
-def save_csv(s, path, params_path=None):
+def save_csv(s, path):
     """Write the fields CSV (node, coords, one column per snapshot) and the
-    params CSV (name, one column per parameter). 17 significant digits, so
-    a load round-trips bit-exactly."""
-    params_path = params_path or params_path_for(path)
+    params CSV `params_path_for(path)` (name, one column per parameter).
+    17 significant digits, so a load round-trips bit-exactly."""
     coord_cols = COORD_NAMES[: s.coords.shape[1]]
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(["node", *coord_cols, *s.names])
         _write_rows(fh, np.hstack([s.coords, s.fields]), "\r\n")
-    with open(params_path, "w", newline="") as fh:
+    with open(params_path_for(path), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["name", *s.param_names])
         for j, name in enumerate(s.names):
@@ -155,15 +154,16 @@ def _scan_body(path, width):
     return np.array(rows, dtype=np.float64).reshape(len(rows), width - 1)
 
 
-def load_csv(path, params_path=None, cache_dir=None) -> SnapshotSet:
-    """Load a snapshot set written by `save_csv`.
+def load_csv(path, *, cache_dir=None) -> SnapshotSet:
+    """Load a snapshot set written by `save_csv`: the fields CSV `path` and
+    its params CSV `params_path_for(path)`.
 
     With `cache_dir`, the parsed set is kept there as `<sha256>.npz`, keyed
     by the bytes of both files, and a later load of the same bytes reads
     that entry instead of parsing. Only a successful parse is stored, and
     an entry that cannot be read is parsed and written again.
     """
-    params_path = params_path or params_path_for(path)
+    params_path = params_path_for(path)
     if cache_dir is None:
         return _parse_csv(path, params_path)
     try:
@@ -406,6 +406,13 @@ NORM_MODES = ("none", "global_minmax", "per_node_standard")
 STD_FLOOR = 1e-8
 
 
+def _batch(fields):
+    a = np.asarray(fields, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError(f"fields must be a (D, n) batch, got shape {a.shape}")
+    return a
+
+
 @dataclass
 class NormStats:
     mode: str
@@ -415,8 +422,8 @@ class NormStats:
     std: np.ndarray = None  # (D,), already floored
 
     def apply(self, fields):
-        """Normalize; `fields` has nodes on axis 0 ((D,) or (D, n))."""
-        a = np.asarray(fields, dtype=np.float64)
+        """Normalize a (D, n) batch of fields, nodes on axis 0."""
+        a = _batch(fields)
         if self.mode == "none":
             return a.copy()
         if self.mode == "global_minmax":
@@ -424,13 +431,11 @@ class NormStats:
             if span == 0.0:
                 return np.zeros_like(a)
             return (a - self.vmin) / span
-        mean, std = self.mean, self.std
-        if a.ndim == 2:
-            mean, std = mean[:, None], std[:, None]
-        return (a - mean) / std
+        return (a - self.mean[:, None]) / self.std[:, None]
 
     def invert(self, fields):
-        a = np.asarray(fields, dtype=np.float64)
+        """Map a normalized (D, n) batch back to physical units."""
+        a = _batch(fields)
         if self.mode == "none":
             return a.copy()
         if self.mode == "global_minmax":
@@ -438,10 +443,7 @@ class NormStats:
             if span == 0.0:
                 return np.full_like(a, self.vmin)
             return a * span + self.vmin
-        mean, std = self.mean, self.std
-        if a.ndim == 2:
-            mean, std = mean[:, None], std[:, None]
-        return a * std + mean
+        return a * self.std[:, None] + self.mean[:, None]
 
     def to_dict(self):
         doc = {"mode": self.mode}

@@ -36,9 +36,9 @@ class SvdResult:
     sigma: np.ndarray
     vt: np.ndarray
 
-    def reconstruct(self, rank=None):
-        r = self.sigma.size if rank is None else rank
-        return (self.u[:, :r] * self.sigma[:r]) @ self.vt[:r]
+    def reconstruct(self, rank):
+        """The rank-`rank` truncation of the decomposed matrix."""
+        return (self.u[:, :rank] * self.sigma[:rank]) @ self.vt[:rank]
 
 
 def thin_svd(a) -> SvdResult:

@@ -32,19 +32,18 @@ def pod_truncate(x, energy):
     return svd.reconstruct(r_star), r_star, float(ratios[r_star - 1])
 
 
-def fps(points, m, seed, start=None):
+def fps(points, m, seed):
     """Greedy max-min farthest-point subsample of an n x c cloud (c <= 3).
 
-    The first point is seed-random (or `start` when given); each following
-    pick maximizes the minimum squared distance to the already-selected
-    set, ties broken by lowest index. Returns indices in selection order.
+    The first point is seed-random; each following pick maximizes the
+    minimum squared distance to the already-selected set, ties broken by
+    lowest index. Returns indices in selection order.
     """
     p = linalg.check_matrix(points, "points", max_cols=3)
     n = p.shape[0]
     if not 1 <= m <= n:
         raise ValueError(f"m must be in 1..{n}")
-    if start is None:
-        start = int(np.random.default_rng(seed).integers(n))
+    start = int(np.random.default_rng(seed).integers(n))
     selected = [start]
     min_sq = ((p - p[start]) ** 2).sum(axis=1)
     while len(selected) < m:

@@ -103,15 +103,16 @@ def pretrain(config, x_lf) -> MfaeModel:
                      pretrain_losses=result.losses)
 
 
-def fine_tune(model, x_lf, y_hf, epochs=None, monitor=None, patience=100,
+def fine_tune(model, x_lf, y_hf, epochs, monitor=None, patience=100,
               adam=None, seed=None):
     """Phase two: freeze the encoder, adapt decoder and fresh up-scaler.
 
-    `x_lf`/`y_hf` are paired (d_lf, n)/(d_hf, n) matrices. Train either for
-    a fixed epoch count or against a `monitor=(x_val, y_val)` pair with
-    early stopping (best-epoch weights restored). The up-scaler, when the
-    architecture calls for one, is always initialized from scratch here.
-    Returns the per-phase nn.TrainResult (loss history in normalized units).
+    `x_lf`/`y_hf` are paired (d_lf, n)/(d_hf, n) matrices. Train for
+    `epochs` epochs, or, with a `monitor=(x_val, y_val)` pair of (d_lf, m)/
+    (d_hf, m) matrices, for at most `epochs` with early stopping (best-epoch
+    weights restored). The up-scaler, when the architecture calls for one,
+    is always initialized from scratch here. Returns the per-phase
+    nn.TrainResult (loss history in normalized units).
     """
     if model.phase != PHASE_PRETRAINED:
         raise ValueError(f"fine_tune requires a pretrained model, got phase {model.phase!r}")
@@ -122,8 +123,6 @@ def fine_tune(model, x_lf, y_hf, epochs=None, monitor=None, patience=100,
         raise ValueError("x_lf must be (d_lf, n)")
     if y.ndim != 2 or y.shape[0] != cfg.d_hf or y.shape[1] != x.shape[1]:
         raise ValueError("y_hf must be (d_hf, n) paired with x_lf")
-    if epochs is None and monitor is None:
-        raise ValueError("need a fixed epoch count or a monitor set")
 
     if seed is None:
         seed = [cfg.seed, 2]
@@ -148,44 +147,36 @@ def fine_tune(model, x_lf, y_hf, epochs=None, monitor=None, patience=100,
 
     inputs = model.lf_stats.apply(x).T
     targets = model.hf_stats.apply(y).T
+    mon = None
     if monitor is not None:
         mon = (model.lf_stats.apply(monitor[0]).T, model.hf_stats.apply(monitor[1]).T)
-        cap = epochs if epochs is not None else 100000
-        result = nn.train(net, inputs, targets, epochs=cap, adam=adam,
-                          monitor=mon, patience=patience)
-    elif epochs == 0:
+    if epochs == 0 and mon is None:  # nn.train needs epochs >= 1; E* may be 0
         result = nn.TrainResult()
     else:
-        result = nn.train(net, inputs, targets, epochs=epochs, adam=adam)
+        result = nn.train(net, inputs, targets, epochs=epochs, adam=adam,
+                          monitor=mon, patience=patience)
     model.phase = PHASE_FINE_TUNED
     return result
 
 
 def _run(model, x_lf, nets, out_stats=None):
-    """Normalize one LF snapshot (d_lf,) or a batch (d_lf, n), run it through
-    `nets` in order and return the result in the input's layout, mapped back
-    to physical units by `out_stats` (left normalized when None)."""
-    a = np.asarray(x_lf, dtype=np.float64)
-    h = model.lf_stats.apply(a)
-    batch = a.ndim == 2
-    if batch:
-        h = h.T
+    """Normalize a (d_lf, n) LF batch, run its n rows through `nets` in order
+    and return the (d_out, n) result, mapped back to physical units by
+    `out_stats` (left normalized when None)."""
+    h = model.lf_stats.apply(x_lf).T
     for net in nets:
         h, _ = nn.forward(net, h)
-    if batch:
-        h = h.T
-    return h if out_stats is None else out_stats.invert(h)
+    return h.T if out_stats is None else out_stats.invert(h.T)
 
 
 def encode(model, x_lf):
-    """Latent coordinates of one snapshot (d_lf,) or a batch (d_lf, n)."""
+    """(latent_dim, n) latent coordinates of a (d_lf, n) LF batch."""
     return _run(model, x_lf, [model.encoder])
 
 
 def predict(model, x_lf):
-    """High-fidelity prediction in physical units for a fine-tuned model.
-
-    Accepts one snapshot (d_lf,) or a batch (d_lf, n); output matches.
+    """(d_hf, n) high-fidelity prediction in physical units of a (d_lf, n)
+    LF batch, for a fine-tuned model. One snapshot is a (d_lf, 1) batch.
     """
     if model.phase != PHASE_FINE_TUNED:
         raise ValueError("predict requires a fine-tuned model")

@@ -113,23 +113,19 @@ def stack(*nets, trainable=None):
 
 
 def forward(net, x):
-    """Run the network; returns (output, cache) where the cache holds the
-    per-layer inputs and pre-activations needed by `backward`.
-
-    `x` may be a single vector (d,) or a batch (n, d).
+    """Run the network on an (n, d_in) batch; returns the (n, d_out) output
+    and the cache of per-layer inputs and pre-activations that `backward`
+    needs. A single row is a (1, d_in) batch.
     """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    a = x[None, :] if single else x
-    if a.shape[1] != net.n_in:
-        raise ValueError(f"input size {a.shape[1]} != expected {net.n_in}")
+    a = np.asarray(x, dtype=np.float64)
+    if a.ndim != 2 or a.shape[1] != net.n_in:
+        raise ValueError(f"input must be an (n, {net.n_in}) batch, got shape {a.shape}")
     cache = []
     for layer in net.layers:
         z = a @ layer.weights.T + layer.biases
         cache.append((a, z))
         a = np.maximum(z, 0.0) if layer.activation == "relu" else z
-    y = a[0] if single else a
-    return y, cache
+    return a, cache
 
 
 def backward(net, cache, grad_out):
@@ -138,11 +134,9 @@ def backward(net, cache, grad_out):
     Frozen layers above a trainable one pass the upstream gradient through
     but contribute no parameter gradients. The pass ends at the first
     trainable layer: it forms no input gradient there and visits no layer
-    below it. `grad_out` must match the forward batch shape.
+    below it. `grad_out` must match the forward output's (n, d_out) shape.
     """
     g = np.asarray(grad_out, dtype=np.float64)
-    if g.ndim == 1:
-        g = g[None, :]
     if len(cache) != len(net.layers):
         raise ValueError("cache does not match network depth")
     first = net.trainable.index(True) if any(net.trainable) else len(net.layers)

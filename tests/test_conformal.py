@@ -118,17 +118,21 @@ def test_coverage_examples():
     # 22 snapshots, exactly one fully covered
     truths = np.full((22, 2), 5.0)
     truths[0] = 0.0
-    stats = conformal.coverage(np.full(2, -1.0), np.full(2, 1.0), truths)
+    stats = conformal.coverage(np.full((22, 2), -1.0), np.full((22, 2), 1.0), truths)
     assert abs(stats.nominal - 1.0 / 22.0) <= 1e-15
 
     # half the components inside per snapshot
     truths = np.tile([0.0, 9.0], (6, 1))
-    stats = conformal.coverage(np.full(2, -1.0), np.full(2, 1.0), truths)
+    stats = conformal.coverage(np.full((6, 2), -1.0), np.full((6, 2), 1.0), truths)
     assert stats.nominal == 0.0 and stats.pointwise == 0.5
+
+    # bounds are (n, D) like the truths, not one (D,) row for all
+    with pytest.raises(ValueError, match="one shape"):
+        conformal.coverage(np.full(2, -1.0), np.full(2, 1.0), truths)
 
 
 def test_coverage_boundary_counts_as_covered():
-    stats = conformal.coverage(np.zeros(2), np.ones(2), np.array([[0.0, 1.0]]))
+    stats = conformal.coverage(np.zeros((1, 2)), np.ones((1, 2)), np.array([[0.0, 1.0]]))
     assert stats.nominal == 1.0
 
 
@@ -149,8 +153,8 @@ def test_multi_split_single_split_is_its_own_median(tiny_pretrained):
         lf[:, :50], hf[:, :50], model, n_splits=1, cal_fraction=0.3,
         delta=0.1, kind="linf", patience=20, seed=1, max_epochs=150,
     )
-    assert np.array_equal(res.radius, res.radii[0])
-    assert res.epoch == res.epochs[0]
+    assert np.array_equal(res.radius, res.splits[0].radius)
+    assert res.epoch == res.splits[0].epoch
     assert len(res.splits) == 1
     rec = res.splits[0]
     assert not set(rec.train_idx) & set(rec.cal_idx)
@@ -163,11 +167,12 @@ def test_multi_split_median_aggregation(tiny_pretrained):
         lf[:, :50], hf[:, :50], model, n_splits=4, cal_fraction=0.3,
         delta=0.1, kind="normalized_l2", patience=20, seed=2, max_epochs=150,
     )
+    radii = np.stack([rec.radius for rec in res.splits])
     # component-wise sort-and-average-middle-two oracle for even B
-    for j in range(res.radii.shape[1]):
-        col = sorted(res.radii[:, j])
+    for j in range(radii.shape[1]):
+        col = sorted(radii[:, j])
         assert abs(res.radius[j] - 0.5 * (col[1] + col[2])) <= 1e-15
-    assert res.epoch == math.ceil(float(np.median(res.epochs)))
+    assert res.epoch == math.ceil(float(np.median([rec.epoch for rec in res.splits])))
     # trivially: odd-count median of {1,2,3} picks the middle value
     assert np.median(np.array([[1.0], [2.0], [3.0]]), axis=0)[0] == 2.0
 
@@ -179,7 +184,7 @@ def test_multi_split_deterministic(tiny_pretrained):
     a = conformal.multi_split_calibrate(lf[:, :50], hf[:, :50], model, **kwargs)
     b = conformal.multi_split_calibrate(lf[:, :50], hf[:, :50], model, **kwargs)
     assert np.array_equal(a.radius, b.radius)
-    assert a.epochs == b.epochs
+    assert [rec.epoch for rec in a.splits] == [rec.epoch for rec in b.splits]
 
 
 def test_multi_split_rejects_infeasible_delta(tiny_pretrained):

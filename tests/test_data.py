@@ -494,3 +494,12 @@ def test_normalize_round_trips():
         stats = data.compute_norm_stats(s.fields, mode)
         back = stats.invert(stats.apply(s.fields))
         assert np.max(np.abs(back - s.fields)) <= 1e-12
+
+
+def test_normalize_rejects_a_single_vector():
+    s = make_pressure_set(9, 17, seed=8)
+    for mode in data.NORM_MODES:
+        stats = data.compute_norm_stats(s.fields, mode)
+        for method in (stats.apply, stats.invert):
+            with pytest.raises(ValueError, match="batch"):
+                method(s.fields[:, 0])

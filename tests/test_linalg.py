@@ -48,7 +48,7 @@ def test_svd_roundtrip_orthonormality_energy():
         r = min(d, n)
         assert res.sigma.size == r
         assert np.all(np.diff(res.sigma) <= 0)
-        recon = res.reconstruct()
+        recon = res.reconstruct(r)
         assert np.linalg.norm(a - recon) <= 1e-8 * np.linalg.norm(a)
         assert np.allclose(res.u.T @ res.u, np.eye(r), atol=1e-8)
         assert np.allclose(res.vt @ res.vt.T, np.eye(r), atol=1e-8)

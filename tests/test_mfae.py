@@ -33,9 +33,9 @@ def test_pretrain_memorizes_single_snapshot():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(16, 1))
     model = mfae.pretrain(small_config(pretrain_epochs=50), x)
-    h, _ = nn.forward(model.decoder, mfae.encode(model, x[:, 0]))
-    rec = model.lf_stats.invert(h)
-    assert float(np.mean((rec - x[:, 0]) ** 2)) <= 1e-4
+    h, _ = nn.forward(model.decoder, mfae.encode(model, x).T)
+    rec = model.lf_stats.invert(h.T)
+    assert float(np.mean((rec - x) ** 2)) <= 1e-4
 
 
 def test_pretrain_reaches_r2_on_generative_family():
@@ -93,31 +93,25 @@ def test_fine_tune_freezes_encoder_and_sets_phase():
     lf, hf, _ = sinusoid_pair_benchmark(40, 16, 24, seed=9)
     model = mfae.pretrain(small_config(), lf)
     digest = params_digest(model.encoder)
-    latent_before = mfae.encode(model, lf[:, 0])
+    latent_before = mfae.encode(model, lf[:, :1])
     mfae.fine_tune(model, lf, hf, epochs=40)
     assert model.phase == mfae.PHASE_FINE_TUNED
     assert params_digest(model.encoder) == digest
-    assert np.array_equal(mfae.encode(model, lf[:, 0]), latent_before)
+    assert np.array_equal(mfae.encode(model, lf[:, :1]), latent_before)
     with pytest.raises(ValueError, match="pretrained"):
         mfae.fine_tune(model, lf, hf, epochs=1)
-
-
-def test_fine_tune_requires_epochs_or_monitor():
-    lf, hf, _ = sinusoid_pair_benchmark(30, 16, 24, seed=10)
-    model = mfae.pretrain(small_config(pretrain_epochs=30), lf)
-    with pytest.raises(ValueError, match="epoch count or a monitor"):
-        mfae.fine_tune(model, lf, hf)
 
 
 def test_predict_is_exactly_the_stepwise_composition():
     lf, hf, _ = sinusoid_pair_benchmark(40, 16, 24, seed=11)
     model = mfae.pretrain(small_config(pretrain_epochs=100), lf)
     mfae.fine_tune(model, lf, hf, epochs=30)
-    x = lf[:, 3]
-    z, _ = nn.forward(model.encoder, model.lf_stats.apply(x))
+    # one snapshot is a (d_lf, 1) batch
+    x = lf[:, 3:4]
+    z, _ = nn.forward(model.encoder, model.lf_stats.apply(x).T)
     h, _ = nn.forward(model.decoder, z)
     u, _ = nn.forward(model.upscaler, h)
-    manual = model.hf_stats.invert(u)
+    manual = model.hf_stats.invert(u.T)
     assert np.array_equal(mfae.predict(model, x), manual)
     # pure function: repeated calls identical
     assert np.array_equal(mfae.predict(model, x), mfae.predict(model, x))
@@ -134,10 +128,21 @@ def test_predict_phase_and_shape_errors():
     lf, hf, _ = sinusoid_pair_benchmark(30, 16, 24, seed=12)
     model = mfae.pretrain(small_config(pretrain_epochs=30), lf)
     with pytest.raises(ValueError, match="fine-tuned"):
-        mfae.predict(model, lf[:, 0])
+        mfae.predict(model, lf[:, :1])
     mfae.fine_tune(model, lf, hf, epochs=5)
     with pytest.raises(ValueError):
-        mfae.predict(model, np.zeros(17))
+        mfae.predict(model, np.zeros((17, 1)))
+
+
+def test_encode_and_predict_reject_a_single_vector():
+    lf, hf, _ = sinusoid_pair_benchmark(30, 16, 24, seed=12)
+    model = mfae.pretrain(small_config(pretrain_epochs=30), lf)
+    mfae.fine_tune(model, lf, hf, epochs=5)
+    for x in (lf[:, 0], np.zeros(17)):
+        with pytest.raises(ValueError, match="batch"):
+            mfae.encode(model, x)
+        with pytest.raises(ValueError, match="batch"):
+            mfae.predict(model, x)
 
 
 def test_latent_dimensions_match_design_space():
@@ -150,15 +155,15 @@ def test_latent_dimensions_match_design_space():
         decoder_widths=[16, 32, 16], seed=14, pretrain_epochs=1,
     )
     model = mfae.pretrain(cfg, lf)
-    assert mfae.encode(model, lf[:, 0]).shape == (3,)
+    assert mfae.encode(model, lf[:, :1]).shape == (3, 1)
     assert model.config.upscaler_width() == 60
     mfae.fine_tune(model, lf, hf, epochs=1)
-    assert mfae.predict(model, lf[:, 0]).shape == (260,)
+    assert mfae.predict(model, lf[:, :1]).shape == (260, 1)
 
     # wing-style latent: two flight parameters -> two latent coordinates
     cfg2 = small_config(latent_dim=2, pretrain_epochs=1)
     model2 = mfae.pretrain(cfg2, rng.normal(size=(16, 5)))
-    assert mfae.encode(model2, np.zeros(16)).shape == (2,)
+    assert mfae.encode(model2, np.zeros((16, 1))).shape == (2, 1)
 
 
 def test_bundle_round_trip(tmp_path):
@@ -172,7 +177,7 @@ def test_bundle_round_trip(tmp_path):
     assert params_digest(loaded.encoder) == params_digest(model.encoder)
     assert params_digest(loaded.decoder) == params_digest(model.decoder)
     assert params_digest(loaded.upscaler) == params_digest(model.upscaler)
-    x = lf[:, 1]
+    x = lf[:, 1:2]
     assert np.array_equal(mfae.predict(loaded, x), mfae.predict(model, x))
 
 

@@ -14,30 +14,38 @@ def identity_layer(d):
 
 def test_forward_identity_layer():
     net = nn.Mlp([identity_layer(3)])
-    x = np.array([1.0, -2.0, 0.5])
+    x = np.array([[1.0, -2.0, 0.5]])
     y, _ = nn.forward(net, x)
     assert np.array_equal(y, x)
 
 
 def test_forward_relu_clips():
     net = nn.Mlp([nn.DenseLayer(np.eye(2), np.zeros(2), "relu")])
-    y, _ = nn.forward(net, np.array([-1.0, 2.0]))
-    assert np.array_equal(y, [0.0, 2.0])
+    y, _ = nn.forward(net, np.array([[-1.0, 2.0]]))
+    assert np.array_equal(y, [[0.0, 2.0]])
+
+
+def test_forward_rejects_anything_but_an_n_by_d_in_batch():
+    net = nn.Mlp([identity_layer(3)])
+    for x in (np.zeros(3), np.zeros((2, 4)), np.zeros((1, 2, 3))):
+        with pytest.raises(ValueError, match="batch"):
+            nn.forward(net, x)
 
 
 def test_forward_matches_manual_recomputation():
     net = nn.Mlp.from_widths(4, [5], 3, seed=2)
     x = np.random.default_rng(0).normal(size=4)
-    y, _ = nn.forward(net, x)
+    y, _ = nn.forward(net, x[None, :])
+    assert y.shape == (1, 3)
     h = net.layers[0].weights @ x + net.layers[0].biases
     h = np.maximum(h, 0.0)
     manual = net.layers[1].weights @ h + net.layers[1].biases
-    assert np.all(np.abs(y - manual) <= 1e-12 * np.maximum(1.0, np.abs(manual)))
+    assert np.all(np.abs(y[0] - manual) <= 1e-12 * np.maximum(1.0, np.abs(manual)))
 
 
 def test_backward_zero_gradient_at_optimum():
     net = nn.Mlp([identity_layer(2)])
-    x = np.array([0.3, -0.7])
+    x = np.array([[0.3, -0.7]])
     y, cache = nn.forward(net, x)
     _, grad = nn.mse_loss(y, y)
     (dw, db), = nn.backward(net, cache, grad)
@@ -47,8 +55,8 @@ def test_backward_zero_gradient_at_optimum():
 def test_backward_single_weight_hand_calculus():
     # loss (w x - t)^2 with x=1, t=0, w=2 -> dL/dw = 4
     net = nn.Mlp([nn.DenseLayer([[2.0]], [0.0], "identity")])
-    y, cache = nn.forward(net, np.array([1.0]))
-    _, grad = nn.mse_loss(y, np.array([0.0]))
+    y, cache = nn.forward(net, np.array([[1.0]]))
+    _, grad = nn.mse_loss(y, np.array([[0.0]]))
     (dw, _), = nn.backward(net, cache, grad)
     assert dw[0, 0] == 4.0
 
@@ -263,5 +271,5 @@ def test_json_round_trip_lossless():
         assert a.activation == b.activation
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.biases, b.biases)
-    x = np.random.default_rng(0).normal(size=3)
+    x = np.random.default_rng(0).normal(size=(1, 3))
     assert np.array_equal(nn.forward(net, x)[0], nn.forward(clone, x)[0])
