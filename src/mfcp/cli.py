@@ -212,6 +212,7 @@ def cmd_degrade(cfg):
 
 
 def cmd_pretrain(cfg):
+    config = _mfae_config(cfg)  # fails on bad widths before any output is written
     lf = _load_set(cfg, cfg.lf_set)
     hf = _load_set(cfg, cfg.hf_set)
     plan = stratified_split(hf, cfg.hf_fraction, cfg.test_fraction, derive_seed(cfg.seed, "split"))
@@ -232,7 +233,7 @@ def cmd_pretrain(cfg):
     keep = [i for i, name in enumerate(lf.names) if name not in test_names]
     lf_train = lf.take(keep)
 
-    model = mfae.pretrain(_mfae_config(cfg), lf_train.fields)
+    model = mfae.pretrain(config, lf_train.fields)
     bundle = os.path.join(cfg.out_dir, "model_pretrained")
     mfae.save_model(model, bundle, extra={"lf_train_names": lf_train.names})
     _write_history(os.path.join(cfg.out_dir, "pretrain_history.csv"), model.pretrain_losses)
@@ -328,6 +329,9 @@ def cmd_evaluate(cfg):
     model, lf, hf, split = _stage_inputs(cfg, "model_final")
     test_names = split["test_names"]
     _leakage_check(model.provenance, test_names)
+    for name in test_names:  # each names its file predictions/<name>.csv
+        if os.path.basename(name) != name:
+            raise ValueError(f"test snapshot name {name!r} contains a path separator")
     radius = np.array(calibration["R_star"], dtype=np.float64)
 
     pred, lower, upper, test_report = _evaluate_subset(model, radius, lf, hf, test_names)
@@ -370,6 +374,9 @@ def cmd_evaluate(cfg):
 
 def _section_plot_svg(x, truth, pred, lower, upper, title="", width=720, height=480):
     """Minimal static SVG: shaded band, prediction line, truth markers."""
+    # XML forbids control characters even escaped; xml.sax.saxutils imports urllib
+    title = "".join(c if c.isprintable() else "\ufffd" for c in title)
+    title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     order = np.argsort(x, kind="stable")
     x = np.asarray(x)[order]
     truth, pred = np.asarray(truth)[order], np.asarray(pred)[order]

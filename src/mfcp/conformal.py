@@ -195,8 +195,7 @@ class CoverageStats:
 
 
 def coverage(lower, upper, truths) -> CoverageStats:
-    """Band containment statistics over (n, D) bounds and truths, one row
-    per snapshot; boundary contact counts as covered."""
+    """Containment of (n, D) truths in (n, D) bands; boundary counts as covered."""
     lo = np.asarray(lower, dtype=np.float64)
     hi = np.asarray(upper, dtype=np.float64)
     t = np.asarray(truths, dtype=np.float64)

@@ -21,6 +21,9 @@ PHASE_FINE_TUNED = "fine_tuned"
 
 BUNDLE_VERSION = 1
 
+# weights in one dense layer: 128 MiB of float64, held several times in training
+MAX_LAYER_WEIGHTS = 2**24
+
 
 @dataclass
 class MfaeConfig:
@@ -40,8 +43,17 @@ class MfaeConfig:
     def __post_init__(self):
         if not 1 <= self.latent_dim <= self.d_lf:
             raise ValueError("latent_dim must be in 1..d_lf")
-        if any(w <= 0 for w in list(self.encoder_widths) + list(self.decoder_widths)):
+        if any(w <= 0 for w in [*self.encoder_widths, *self.decoder_widths, self.upscaler_width()]):
             raise ValueError("widths must be strictly positive")
+        nets = [[self.d_lf, *self.encoder_widths, self.latent_dim],
+                [self.latent_dim, *self.decoder_widths, self.d_lf]]
+        if self.uses_upscaler:
+            nets.append([self.d_lf, self.upscaler_width(), self.d_hf])
+        for dims in nets:
+            for n_in, n_out in zip(dims, dims[1:]):
+                if n_in * n_out > MAX_LAYER_WEIGHTS:
+                    raise ValueError(f"a {n_in} x {n_out} layer has {n_in * n_out} weights, "
+                                     f"more than MAX_LAYER_WEIGHTS = {MAX_LAYER_WEIGHTS}")
 
     @property
     def uses_upscaler(self):

@@ -371,6 +371,72 @@ def test_leakage_guard_refuses(tmp_path, pipeline):
     assert cli.main(["evaluate", "--config", str(p)]) == 2
 
 
+def chain_with_names(root, name, stages):
+    """Run `stages` over the chain's HF set with snapshot i named name.format(i)."""
+    hf = make_pressure_set(60, 24, seed=1)
+    save_csv(dataclasses.replace(hf, names=[name.format(i) for i in range(60)]), root / "hf.csv")
+    recipe = DegradationRecipe([PodTruncate(energy=0.9), Fps(m=12, seed=11)])
+    (root / "recipe.json").write_text(recipe.to_json())
+    cfg_path = root / "config.txt"
+    cfg_path.write_text(dump_config(chain_config(root)))
+    for cmd in stages:
+        assert cli.main([cmd, "--config", str(cfg_path)]) == 0, f"{cmd} failed"
+    return cfg_path
+
+
+def test_evaluate_refuses_test_names_with_a_path_separator(tmp_path, capsys):
+    cfg_path = chain_with_names(tmp_path, "../../esc{:02d}",
+                                ("degrade", "pretrain", "calibrate", "finetune"))
+    before = sorted(p for p in tmp_path.rglob("*") if "cache" not in p.parts)
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: test snapshot name '../../esc")
+    # nothing written: no report, no predictions, no file beside out/
+    assert sorted(p for p in tmp_path.rglob("*") if "cache" not in p.parts) == before
+    assert not (tmp_path / "out" / "predictions").exists()
+
+
+def test_section_plot_is_well_formed_xml_for_any_name(tmp_path):
+    from xml.dom import minidom
+
+    chain_with_names(tmp_path, "a<b&\x01{:02d}",
+                     ("degrade", "pretrain", "calibrate", "finetune", "evaluate"))
+    first = json.loads((tmp_path / "out" / "split.json").read_text())["test_names"][0]
+    doc = minidom.parse(str(tmp_path / "out" / "section_plot.svg"))
+    # markup characters escaped; a control character, which XML cannot hold, replaced
+    assert doc.getElementsByTagName("text")[0].firstChild.data == first.replace("\x01", "\ufffd")
+
+
+@pytest.mark.parametrize("key, value, layer", [
+    ("encoder_widths", [10**12], "a 12 x 1000000000000 layer has 12000000000000 weights"),
+    ("decoder_widths", [10**12], "a 3 x 1000000000000 layer has 3000000000000 weights"),
+    ("upscaler_hidden", 10**12, "a 12 x 1000000000000 layer has 12000000000000 weights"),
+], ids=["encoder", "decoder", "upscaler"])
+def test_oversized_layer_exits_2(tmp_path, capsys, pipeline, key, value, layer):
+    import shutil
+    root, cfg, _ = pipeline
+    message = f"error: {layer}, more than MAX_LAYER_WEIGHTS = {mfae.MAX_LAYER_WEIGHTS}\n"
+    # from the config: pretrain stops before it writes anything
+    big = parse_config(dump_config(cfg) + f"{key} = {str(value).strip('[]')}\n")
+    big.out_dir = str(tmp_path / "big")
+    (tmp_path / "big.txt").write_text(dump_config(big))
+    capsys.readouterr()
+    assert cli.main(["pretrain", "--config", str(tmp_path / "big.txt")]) == 2
+    assert capsys.readouterr().err == message
+    assert not os.path.exists(big.out_dir)
+    # from a bundle's meta.json: calibrate stops when it loads the model
+    edited = parse_config(dump_config(cfg))
+    edited.out_dir = str(tmp_path / "edited")
+    shutil.copytree(root / "out", edited.out_dir)
+    meta_path = os.path.join(edited.out_dir, "model_pretrained", "meta.json")
+    meta = json.loads(open(meta_path).read())
+    meta["config"][key] = value
+    json.dump(meta, open(meta_path, "w"))
+    (tmp_path / "edited.txt").write_text(dump_config(edited))
+    assert cli.main(["calibrate", "--config", str(tmp_path / "edited.txt")]) == 2
+    assert capsys.readouterr().err == message
+
+
 def test_full_chain_reruns_byte_identical(pipeline, tmp_path_factory):
     root, cfg, cfg_path = pipeline
     rerun = tmp_path_factory.mktemp("rerun")

@@ -27,6 +27,12 @@ def test_config_invariants():
         small_config(latent_dim=17)
     with pytest.raises(ValueError):
         small_config(encoder_widths=[8, 0])
+    with pytest.raises(ValueError):
+        small_config(upscaler_hidden=-1)
+    # a 16 x width layer, at the weight bound and one column over it
+    small_config(encoder_widths=[mfae.MAX_LAYER_WEIGHTS // 16])
+    with pytest.raises(ValueError, match="MAX_LAYER_WEIGHTS"):
+        small_config(encoder_widths=[mfae.MAX_LAYER_WEIGHTS // 16 + 1])
 
 
 def test_pretrain_memorizes_single_snapshot():
