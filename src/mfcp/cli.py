@@ -46,7 +46,6 @@ class PipelineConfig:
     force_adapter: bool = False
     pretrain_epochs: int = 2000
     learning_rate: float = 1e-3
-    finetune_learning_rate: float = 0.0  # 0 -> learning_rate / 10
     max_finetune_epochs: int = 2000
     patience: int = 100
     delta: float = 0.1
@@ -57,7 +56,6 @@ class PipelineConfig:
     test_fraction: float = 0.25
     seed: int = 0
     normalization: str = "per_node_standard"
-    emit_plot: bool = True
 
 
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
@@ -67,7 +65,8 @@ _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False, "yes": True,
 _VALUE_RULES = {
     "patience": (lambda v: v >= 1, ">= 1"),
     "learning_rate": (lambda v: v > 0, "> 0"),
-    "finetune_learning_rate": (lambda v: v >= 0, ">= 0 (0 -> learning_rate / 10)"),
+    "pretrain_epochs": (lambda v: v >= 1, ">= 1"),
+    "max_finetune_epochs": (lambda v: v >= 1, ">= 1"),
 }
 
 
@@ -140,14 +139,6 @@ def _mfae_config(cfg) -> mfae.MfaeConfig:
         adam=nn.AdamConfig(lr=cfg.learning_rate),
         normalization=cfg.normalization,
     )
-
-
-def _finetune_adam(cfg):
-    """The fine-tune Adam settings when the config sets a rate; None leaves
-    mfae.fine_tune's default, a tenth of the pretraining rate."""
-    if cfg.finetune_learning_rate:
-        return nn.AdamConfig(lr=cfg.finetune_learning_rate)
-    return None
 
 
 def _read_json(path):
@@ -253,7 +244,6 @@ def cmd_calibrate(cfg):
         patience=cfg.patience,
         seed=derive_seed(cfg.seed, "calibrate"),
         max_epochs=cfg.max_finetune_epochs,
-        adam=_finetune_adam(cfg),
     )
     path = os.path.join(cfg.out_dir, "calibration.json")
     _write_json(path, {
@@ -285,8 +275,7 @@ def cmd_finetune(cfg):
     model, lf, hf, split = _stage_inputs(cfg, "model_pretrained")
     x, y = _paired_matrices(lf, hf, split["train_names"])
     e_star = int(calibration["E_star"])
-    result = mfae.fine_tune(model, x, y, epochs=e_star, adam=_finetune_adam(cfg),
-                            seed=derive_seed(cfg.seed, "finetune"))
+    result = mfae.fine_tune(model, x, y, epochs=e_star, seed=derive_seed(cfg.seed, "finetune"))
     bundle = os.path.join(cfg.out_dir, "model_final")
     meta_extra = {
         "hf_train_names": split["train_names"],
@@ -356,7 +345,7 @@ def cmd_evaluate(cfg):
             _write_rows(fh, np.column_stack([hf.coords[:, 0], truth[:, j], pred[:, j],
                                              lower[j], upper[j]]), "\n")
 
-    if cfg.emit_plot and test_names:
+    if test_names:
         try:
             svg = _section_plot_svg(hf.coords[:, 0], truth[:, 0], pred[:, 0],
                                     lower[0], upper[0], title=test_names[0])
@@ -429,17 +418,11 @@ def main(argv=None) -> int:
     for name in ("degrade", "pretrain", "calibrate", "finetune", "evaluate"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="flat key = value config file")
-        p.add_argument("--out", default=None, help="override out_dir")
-        p.add_argument("--seed", type=int, default=None, help="override master seed")
     args = parser.parse_args(argv)
     _setup_logging()
     try:
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
-        if args.out is not None:
-            cfg.out_dir = args.out
-        if args.seed is not None:
-            cfg.seed = args.seed
         # looked up by name at call time, so a rebound cmd_* is the one run
         globals()[f"cmd_{args.command}"](cfg)
     except (nn.TrainingDiverged, np.linalg.LinAlgError, FloatingPointError) as exc:

@@ -130,9 +130,7 @@ def multi_split_calibrate(x_lf, y_hf, pretrained, n_splits, cal_fraction, delta,
     from the calibration residuals. Medians aggregate the B radius vectors
     component-wise and the B best epochs.
 
-    Each split owns a private RNG stream derived from (seed, b). The splits
-    run one after another, because a thread pool was slower on both
-    benchmark workloads and gave the same outputs.
+    Each split owns a private RNG stream derived from (seed, b).
     """
     x = np.asarray(x_lf, dtype=np.float64)
     y = np.asarray(y_hf, dtype=np.float64)

@@ -456,6 +456,8 @@ class NormStats:
     @classmethod
     def from_dict(cls, doc):
         mode = doc["mode"]
+        if mode not in NORM_MODES:
+            raise ValueError(f"unknown normalization mode {mode!r}")
         if mode == "global_minmax":
             return cls(mode, vmin=doc["vmin"], vmax=doc["vmax"])
         if mode == "per_node_standard":

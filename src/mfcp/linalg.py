@@ -1,10 +1,9 @@
-"""Dense real-matrix primitives: thin SVD and PCA axes.
+"""Dense real-matrix primitives: an input check and the thin SVD.
 
 Everything operates on float64 ndarrays and is deterministic for a fixed
 input on a fixed platform.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,48 +41,11 @@ class SvdResult:
 
 
 def thin_svd(a) -> SvdResult:
-    """Thin singular value decomposition with a fixed sign convention.
-
-    Each left singular vector is flipped so that its largest-magnitude
-    entry is positive, which stabilizes golden tests across runs.
-    """
+    """Thin singular value decomposition; `sigma` comes back nonincreasing
+    from LAPACK, and the singular vectors keep LAPACK's signs."""
     a = check_matrix(a, "a")
     try:
         u, sigma, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"SVD failed to converge; defective input? ({exc})")
-    for k in range(sigma.size):
-        j = np.argmax(np.abs(u[:, k]))
-        if u[j, k] < 0.0:
-            u[:, k] = -u[:, k]
-            vt[k, :] = -vt[k, :]
-    if np.any(np.diff(sigma) > 0):
-        raise AssertionError("singular values not sorted nonincreasing")
     return SvdResult(u=u, sigma=sigma, vt=vt)
-
-
-def pca_axes(points):
-    """Centroid and principal axes of a point cloud.
-
-    Returns ``(centroid, rotation)`` where the columns of ``rotation`` are
-    unit eigenvectors of the sample covariance in descending-eigenvalue
-    order, with the last axis flipped if needed so det(rotation) = +1.
-    A fully degenerate cloud (all points coincident) yields the identity
-    rotation and a warning.
-    """
-    p = check_matrix(points, "points", max_cols=3)
-    n, c = p.shape
-    if n < 2:
-        raise ValueError("pca_axes needs at least 2 points")
-    centroid = p.mean(axis=0)
-    centered = p - centroid
-    cov = (centered.T @ centered) / (n - 1)
-    if not np.any(cov):
-        warnings.warn("degenerate point cloud: all points coincident; using identity axes")
-        return centroid, np.eye(c)
-    evals, evecs = np.linalg.eigh(cov)
-    order = np.argsort(evals)[::-1]
-    rotation = evecs[:, order]
-    if np.linalg.det(rotation) < 0:
-        rotation[:, -1] = -rotation[:, -1]
-    return centroid, rotation

@@ -2,9 +2,10 @@
 
 Two degradation families: precision reduction (modal truncation of the
 snapshot matrix, quantization, noise/bias) and resolution reduction
-(farthest-point subsampling, k-nearest averaging, voxel binning). Stages
-compose into a declarative recipe that replays bit-identically for fixed
-seeds.
+(farthest-point subsampling, k-nearest averaging, axis-aligned voxel
+binning). The resolution reducers take (n, c) node coordinates, c <= 3,
+and the fields as an (n, m) matrix with one row per node. Stages compose
+into a declarative recipe that replays bit-identically for fixed seeds.
 """
 
 import json
@@ -54,15 +55,15 @@ def fps(points, m, seed):
 
 
 def knn_average(points, values, centers, k):
-    """Mean of the k nearest points' values at each center index.
+    """Mean of the k nearest points' (n, m) values at each center index.
 
     Distances are Euclidean in the coordinates; ties take the lowest index;
     a center is its own zero-distance neighbor.
     """
     p = linalg.check_matrix(points, "points", max_cols=3)
     v = np.asarray(values, dtype=np.float64)
-    if v.ndim == 1:
-        v = v[:, None]
+    if v.ndim != 2:
+        raise ValueError(f"values must be an (n, m) matrix, got shape {v.shape}")
     if not 1 <= k <= p.shape[0]:
         raise ValueError("k must be in 1..n")
     out = np.empty((len(centers), v.shape[1]))
@@ -73,26 +74,21 @@ def knn_average(points, values, centers, k):
     return out
 
 
-def voxelize(points, values, size, pca_align=False):
-    """Bin a point cloud onto a regular grid of cell width `size`.
+def voxelize(points, values, size):
+    """Bin a point cloud and its (n, m) values onto a regular grid of cell
+    width `size`.
 
-    Cells are the lattice floor(coord / size) in the (optionally
-    PCA-rotated) frame; each occupied cell emits its geometric center
-    (mapped back through the inverse rotation when aligned) and the mean
-    of the member values. Output is sorted by integer cell coordinates.
+    Cells are the lattice floor(coord / size) in the coordinate frame; each
+    occupied cell emits its geometric center and the mean of the member
+    values. Output is sorted by integer cell coordinates.
     """
     if size <= 0:
         raise ValueError("voxel size must be positive")
     p = linalg.check_matrix(points, "points", max_cols=3)
     v = np.asarray(values, dtype=np.float64)
-    if v.ndim == 1:
-        v = v[:, None]
-    if pca_align:
-        centroid, rotation = linalg.pca_axes(p)
-        frame = (p - centroid) @ rotation
-    else:
-        frame = p
-    cells = np.floor(frame / size).astype(np.int64)
+    if v.ndim != 2:
+        raise ValueError(f"values must be an (n, m) matrix, got shape {v.shape}")
+    cells = np.floor(p / size).astype(np.int64)
     uniq, inverse = np.unique(cells, axis=0, return_inverse=True)
     inverse = inverse.ravel()
     m = uniq.shape[0]
@@ -101,8 +97,6 @@ def voxelize(points, values, size, pca_align=False):
     for j in range(v.shape[1]):
         means[:, j] = np.bincount(inverse, weights=v[:, j], minlength=m) / counts
     centers = (uniq + 0.5) * size
-    if pca_align:
-        centers = centers @ rotation.T + centroid
     return centers, means
 
 
@@ -184,11 +178,10 @@ class KnnAverage:
 @dataclass
 class Voxelize:
     size: float
-    pca_align: bool = False
     kind = "voxelize"
 
     def apply(self, fields, coords, seed):
-        coords, fields = voxelize(coords, fields, self.size, self.pca_align)
+        coords, fields = voxelize(coords, fields, self.size)
         return fields, coords, {"n_cells": coords.shape[0]}
 
 
@@ -223,8 +216,8 @@ class Bias:
 STAGE_TYPES = {c.kind: c for c in (PodTruncate, Fps, KnnAverage, Voxelize, Quantize, Noise, Bias)}
 
 # JSON value types each annotated stage field accepts; bool is an int
-# subclass, so it is excluded from the numeric fields separately
-_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,)}
+# subclass, so it is refused separately
+_JSON_TYPES = {int: (int,), float: (int, float)}
 
 
 def _stage_from_doc(pos, sdoc):
@@ -242,7 +235,7 @@ def _stage_from_doc(pos, sdoc):
         t = spec[name].type
         if value is None and spec[name].default is None:
             continue
-        if not isinstance(value, _JSON_TYPES[t]) or (t is not bool and isinstance(value, bool)):
+        if not isinstance(value, _JSON_TYPES[t]) or isinstance(value, bool):
             raise ValueError(f"recipe stage {pos} ({kind}): field {name!r} must be "
                              f"{t.__name__}, got {value!r}")
     missing = [n for n, f in spec.items() if f.default is MISSING and n not in sdoc]

@@ -9,7 +9,7 @@ dimensionality gap (and corrects fidelity bias even when dimensions match).
 import copy
 import json
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -230,17 +230,28 @@ def save_model(model, out_dir, extra=None):
 _META_KEYS = ("format_version", "phase", "config", "lf_stats", "hf_stats")
 
 
+def _from_mapping(cls, doc, what):
+    """`cls(**doc)` for a meta.json mapping with exactly the fields of dataclass `cls`."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a mapping, got {doc!r}")
+    names = {f.name for f in fields(cls)}
+    if set(doc) != names:
+        raise ValueError(f"{what}: unknown key(s) {sorted(set(doc) - names)}, "
+                         f"missing key(s) {sorted(names - set(doc))}")
+    return cls(**doc)
+
+
 def load_model(out_dir) -> MfaeModel:
     """Read a bundle written by `save_model`. The meta.json entries that
     describe training rather than the model (the `extra` of save_model) are
     kept as `model.provenance`."""
-    with open(os.path.join(out_dir, "meta.json")) as fh:
+    meta_path = os.path.join(out_dir, "meta.json")
+    with open(meta_path) as fh:
         meta = json.load(fh)
     if meta.get("format_version") != BUNDLE_VERSION:
         raise ValueError(f"unsupported bundle version {meta.get('format_version')!r}")
-    cfg_doc = dict(meta["config"])
-    cfg_doc["adam"] = nn.AdamConfig(**cfg_doc["adam"])
-    config = MfaeConfig(**cfg_doc)
+    config = _from_mapping(MfaeConfig, meta["config"], f"{meta_path} config")
+    config.adam = _from_mapping(nn.AdamConfig, config.adam, f"{meta_path} config adam")
     with open(os.path.join(out_dir, "encoder.json")) as fh:
         encoder = nn.from_json(fh.read())
     with open(os.path.join(out_dir, "decoder.json")) as fh:

@@ -81,10 +81,6 @@ class Mlp:
     def n_in(self):
         return self.layers[0].n_in
 
-    @property
-    def n_out(self):
-        return self.layers[-1].n_out
-
     @classmethod
     def from_widths(cls, n_in, hidden, n_out, seed, hidden_activation="relu"):
         """Build [n_in -> hidden... -> n_out] with an identity output layer."""
@@ -139,7 +135,7 @@ def backward(net, cache, grad_out):
     g = np.asarray(grad_out, dtype=np.float64)
     if len(cache) != len(net.layers):
         raise ValueError("cache does not match network depth")
-    first = net.trainable.index(True) if any(net.trainable) else len(net.layers)
+    first = net.trainable.index(True)  # ValueError when no layer trains
     grads = []
     for i in range(len(net.layers) - 1, first - 1, -1):
         layer = net.layers[i]
@@ -167,11 +163,9 @@ def trainable_parameters(net):
 def _flatten_trainable(net):
     """Copy the trainable parameters into one contiguous buffer, ordered as
     `trainable_parameters`, and rebind each trainable layer's weights and
-    biases as views into it. Returns the buffer (empty when nothing trains).
+    biases as views into it. Returns the buffer.
     """
     params = trainable_parameters(net)
-    if not params:
-        return np.zeros(0)
     flat = np.concatenate([p.ravel() for p in params])
     offset = 0
     for layer, flag in zip(net.layers, net.trainable):
@@ -264,7 +258,8 @@ def train(net, inputs, targets, epochs, adam=None, monitor=None, patience=100):
     Each trainable layer's weights and biases come out as views into one
     buffer (see the module docstring); hold the layer, not its arrays.
 
-    Raises TrainingDiverged if the loss or any parameter goes non-finite.
+    Raises ValueError if no layer is trainable, and TrainingDiverged if the
+    loss or any parameter goes non-finite.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
@@ -294,8 +289,7 @@ def train(net, inputs, targets, epochs, adam=None, monitor=None, patience=100):
             raise TrainingDiverged(epoch)
         result.losses.append(loss)
         grads = backward(net, cache, grad)
-        if grads:  # np.concatenate refuses an empty list
-            np.concatenate([g.ravel() for pair in grads for g in pair], out=gflat)
+        np.concatenate([g.ravel() for pair in grads for g in pair], out=gflat)
         adam_step(state, [flat], [gflat])
         if not np.isfinite(flat).all():
             raise TrainingDiverged(epoch, "non-finite parameter after update")

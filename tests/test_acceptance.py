@@ -56,7 +56,7 @@ def test_a1_gradient_correctness():
     ]
     for name, net, d_in in configs:
         x = rng.normal(size=(6, d_in))
-        y = rng.normal(size=(6, net.n_out))
+        y = rng.normal(size=(6, net.layers[-1].n_out))
         pairs = finite_diff_probe(net, x, y, probes_per_layer=10, seed=11)
         n_trainable = sum(net.trainable)
         assert len(pairs) >= 10 * n_trainable

@@ -38,10 +38,9 @@ def chain_config(root):
     )
 
 
-def run_chain(root, cfg_path, out_dir=None):
-    extra = ["--out", str(out_dir)] if out_dir else []
+def run_chain(root, cfg_path):
     for cmd in ("degrade", "pretrain", "calibrate", "finetune", "evaluate"):
-        code = cli.main([cmd, "--config", str(cfg_path), *extra])
+        code = cli.main([cmd, "--config", str(cfg_path)])
         assert code == 0, f"{cmd} failed"
 
 
@@ -76,7 +75,7 @@ def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config key"):
         parse_config("no_such_key = 3\n")
     with pytest.raises(ValueError, match="bad boolean"):
-        parse_config("emit_plot = maybe\n")
+        parse_config("force_adapter = maybe\n")
 
 
 def test_identity_recipe_returns_input(tmp_path):
@@ -99,7 +98,10 @@ def test_identity_recipe_returns_input(tmp_path):
     ('{"stages": [{"kind": "fps", "m": "x"}]}', "recipe stage 0 (fps): field 'm' must be int, got 'x'"),
     ('{"stages": [{"kind": "quantize", "levels": 1000000000000000}]}',
      "levels must be in 2..1048576, got 1000000000000000"),
-], ids=["unknown-field", "stages-not-a-list", "top-level-list", "string-for-int", "huge-levels"])
+    ('{"stages": [{"kind": "voxelize", "size": 0.5, "pca_align": true}]}',
+     "recipe stage 0 (voxelize): unknown field 'pca_align'"),
+], ids=["unknown-field", "stages-not-a-list", "top-level-list", "string-for-int", "huge-levels",
+        "removed-pca-align"])
 def test_malformed_recipe_exits_2(tmp_path, capsys, doc, message):
     save_csv(make_pressure_set(8, 10, seed=2), tmp_path / "hf.csv")
     (tmp_path / "recipe.json").write_text(doc)
@@ -116,8 +118,6 @@ def test_malformed_recipe_exits_2(tmp_path, capsys, doc, message):
     ("learning_rate = 0", "config key learning_rate: must be > 0, got 0.0"),
     ("learning_rate = -1", "config key learning_rate: must be > 0, got -1.0"),
     ("learning_rate = nan", "config key learning_rate: must be > 0, got nan"),
-    ("finetune_learning_rate = -1e-3",
-     "config key finetune_learning_rate: must be >= 0 (0 -> learning_rate / 10), got -0.001"),
 ])
 def test_out_of_range_config_values_exit_2(tmp_path, capsys, line, message):
     (tmp_path / "c.txt").write_text(line + "\n")
@@ -127,14 +127,49 @@ def test_out_of_range_config_values_exit_2(tmp_path, capsys, line, message):
 
 
 def test_config_value_rules_keep_their_boundaries():
-    cfg = parse_config("patience = 1\nlearning_rate = 1e-300\nfinetune_learning_rate = 0\n")
-    assert (cfg.patience, cfg.learning_rate, cfg.finetune_learning_rate) == (1, 1e-300, 0.0)
+    cfg = parse_config("patience = 1\nlearning_rate = 1e-300\n"
+                       "pretrain_epochs = 1\nmax_finetune_epochs = 1\n")
+    assert (cfg.patience, cfg.learning_rate) == (1, 1e-300)
+    assert (cfg.pretrain_epochs, cfg.max_finetune_epochs) == (1, 1)
+
+
+@pytest.mark.parametrize("key", ["pretrain_epochs", "max_finetune_epochs"])
+def test_zero_epoch_counts_exit_2_before_any_output(tmp_path, capsys, pipeline, key):
+    _, cfg, _ = pipeline
+    zero = dataclasses.replace(cfg, out_dir=str(tmp_path / "out"), **{key: 0})
+    (tmp_path / "c.txt").write_text(dump_config(zero))
+    capsys.readouterr()
+    for cmd in ("degrade", "pretrain", "calibrate"):
+        assert cli.main([cmd, "--config", str(tmp_path / "c.txt")]) == 2
+        assert capsys.readouterr().err == f"error: config key {key}: must be >= 1, got 0\n"
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line", ["emit_plot = true", "finetune_learning_rate = 0.001"])
+def test_removed_config_keys_exit_2(tmp_path, capsys, line):
+    (tmp_path / "c.txt").write_text(line + "\n")
+    for cmd in ("degrade", "pretrain", "calibrate", "finetune", "evaluate"):
+        assert cli.main([cmd, "--config", str(tmp_path / "c.txt")]) == 2
+        assert capsys.readouterr().err == f"error: unknown config key {line.split()[0]!r}\n"
+
+
+@pytest.mark.parametrize("flag", [["--seed", "3"], ["--out", "elsewhere"]], ids=["seed", "out"])
+def test_removed_flags_exit_2(tmp_path, capsys, flag):
+    (tmp_path / "c.txt").write_text("")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["calibrate", "--config", str(tmp_path / "c.txt"), *flag])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "usage: mfcp [-h] {degrade,pretrain,calibrate,finetune,evaluate} ...\n"
+        f"mfcp: error: unrecognized arguments: {' '.join(flag)}\n")
 
 
 def test_degrade_reruns_bit_identical(pipeline):
-    root, cfg, cfg_path = pipeline
+    root, cfg, _ = pipeline
     first = file_digest(root / "out" / "lf.csv")
-    assert cli.main(["degrade", "--config", str(cfg_path), "--out", str(root / "out2")]) == 0
+    out2 = dataclasses.replace(cfg, out_dir=str(root / "out2"))
+    (root / "out2.txt").write_text(dump_config(out2))
+    assert cli.main(["degrade", "--config", str(root / "out2.txt")]) == 0
     assert file_digest(root / "out2" / "lf.csv") == first
 
 
@@ -177,8 +212,10 @@ def test_pretrain_one_epoch_history(tmp_path, pipeline):
 
 
 def test_pretrain_seed_repeat_identical(pipeline, tmp_path):
-    root, cfg, cfg_path = pipeline
-    assert cli.main(["pretrain", "--config", str(cfg_path), "--out", str(tmp_path / "re")]) == 0
+    root, cfg, _ = pipeline
+    rerun = dataclasses.replace(cfg, out_dir=str(tmp_path / "re"))
+    (tmp_path / "re.txt").write_text(dump_config(rerun))
+    assert cli.main(["pretrain", "--config", str(tmp_path / "re.txt")]) == 0
     for name in ("encoder.json", "decoder.json"):
         assert file_digest(tmp_path / "re" / "model_pretrained" / name) == \
             file_digest(root / "out" / "model_pretrained" / name)
@@ -435,6 +472,27 @@ def test_oversized_layer_exits_2(tmp_path, capsys, pipeline, key, value, layer):
     (tmp_path / "edited.txt").write_text(dump_config(edited))
     assert cli.main(["calibrate", "--config", str(tmp_path / "edited.txt")]) == 2
     assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda meta: meta["config"].update(bogus=1),
+     "{meta} config: unknown key(s) ['bogus'], missing key(s) []"),
+    (lambda meta: meta["config"].update(adam=5), "{meta} config adam must be a mapping, got 5"),
+    (lambda meta: meta["lf_stats"].update(mode="bogus"), "unknown normalization mode 'bogus'"),
+], ids=["unknown-config-key", "adam-not-a-mapping", "unknown-norm-mode"])
+def test_malformed_bundle_meta_exits_2(tmp_path, capsys, pipeline, edit, message):
+    import shutil
+    root, cfg, _ = pipeline
+    edited = dataclasses.replace(cfg, out_dir=str(tmp_path / "edited"))
+    shutil.copytree(root / "out", edited.out_dir)
+    meta_path = os.path.join(edited.out_dir, "model_pretrained", "meta.json")
+    meta = json.loads(open(meta_path).read())
+    edit(meta)
+    json.dump(meta, open(meta_path, "w"))
+    (tmp_path / "edited.txt").write_text(dump_config(edited))
+    capsys.readouterr()
+    assert cli.main(["calibrate", "--config", str(tmp_path / "edited.txt")]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(meta=meta_path)}\n"
 
 
 def test_full_chain_reruns_byte_identical(pipeline, tmp_path_factory):

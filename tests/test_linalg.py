@@ -27,13 +27,10 @@ def test_svd_matches_jacobi_eigen_oracle():
     assert np.all(np.abs(sigma**2 - evals) <= 1e-8 * np.abs(evals))
 
 
-def test_svd_sign_convention_and_determinism():
+def test_svd_determinism():
     rng = np.random.default_rng(11)
     a = rng.normal(size=(8, 6))
     res = linalg.thin_svd(a)
-    for k in range(res.sigma.size):
-        j = np.argmax(np.abs(res.u[:, k]))
-        assert res.u[j, k] > 0
     res2 = linalg.thin_svd(a)
     assert np.array_equal(res.u, res2.u)
     assert np.array_equal(res.vt, res2.vt)
@@ -63,35 +60,3 @@ def test_svd_rejects_bad_input():
     with pytest.raises(ValueError):
         linalg.thin_svd(np.zeros((0, 3)))
 
-
-def test_pca_single_direction():
-    pts = np.column_stack([np.zeros(5), np.linspace(-2, 2, 5), np.zeros(5)])
-    _, rot = linalg.pca_axes(pts)
-    assert abs(abs(rot[1, 0]) - 1.0) < 1e-12
-
-
-def test_pca_planar_normal():
-    # equilateral triangle in the z=1 plane: third axis is the plane normal
-    ang = 2.0 * np.pi * np.arange(3) / 3.0
-    pts = np.column_stack([np.cos(ang), np.sin(ang), np.ones(3)])
-    _, rot = linalg.pca_axes(pts)
-    assert abs(abs(rot[2, 2]) - 1.0) < 1e-12
-    assert np.linalg.det(rot) > 0
-
-
-def test_pca_covariance_reconstruction():
-    rng = np.random.default_rng(21)
-    pts = rng.normal(size=(50, 3)) @ np.diag([3.0, 1.0, 0.2])
-    centroid, rot = linalg.pca_axes(pts)
-    centered = pts - centroid
-    evals = ((centered @ rot) ** 2).sum(axis=0) / (len(pts) - 1)
-    cov = (centered.T @ centered) / (len(pts) - 1)
-    rebuilt = rot @ np.diag(evals) @ rot.T
-    assert np.linalg.norm(rebuilt - cov) <= 1e-8 * np.linalg.norm(cov)
-
-
-def test_pca_degenerate_warns_identity():
-    pts = np.ones((4, 3))
-    with pytest.warns(UserWarning):
-        _, rot = linalg.pca_axes(pts)
-    assert np.array_equal(rot, np.eye(3))

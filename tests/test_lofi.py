@@ -111,7 +111,7 @@ def test_knn_matches_full_sort_oracle():
 
 
 def test_voxelize_single_cell_example():
-    centers, means = lofi.voxelize(np.array([[0.1], [0.9]]), np.array([1.0, 3.0]), size=1.0)
+    centers, means = lofi.voxelize(np.array([[0.1], [0.9]]), np.array([[1.0], [3.0]]), size=1.0)
     assert np.array_equal(centers, [[0.5]])
     assert np.array_equal(means, [[2.0]])
 
@@ -121,7 +121,7 @@ def test_voxelize_fine_grid_is_identity():
     pts = rng.uniform(0, 1, size=(12, 3))
     gaps = np.sqrt([((pts[i] - pts[j]) ** 2).sum() for i in range(12) for j in range(i + 1, 12)])
     size = 0.5 * gaps.min() / np.sqrt(3)
-    centers, means = lofi.voxelize(pts, np.arange(12.0), size)
+    centers, means = lofi.voxelize(pts, np.arange(12.0)[:, None], size)
     assert centers.shape[0] == 12
     # cells are singletons, so the means are the original values in cell order
     assert sorted(means[:, 0]) == sorted(range(12))
@@ -147,27 +147,13 @@ def test_voxelize_matches_brute_force_binning():
         assert np.array_equal(means[row[0]], expected_mean)
 
 
-def test_voxelize_pca_aligned_covers_cloud():
-    rng = np.random.default_rng(7)
-    # elongated cloud off the axes
-    base = np.column_stack([np.linspace(0, 10, 50), np.zeros(50), np.zeros(50)])
-    angle = 0.7
-    rot = np.array([
-        [np.cos(angle), -np.sin(angle), 0.0],
-        [np.sin(angle), np.cos(angle), 0.0],
-        [0.0, 0.0, 1.0],
-    ])
-    pts = base @ rot.T + rng.normal(scale=0.05, size=(50, 3))
-    centers, means = lofi.voxelize(pts, np.ones(50), 1.0, pca_align=True)
-    assert np.max(np.abs(means - 1.0)) == 0.0
-    # centers come back in the original frame, hugging the principal line
-    from mfcp import linalg
-
-    centroid, axes = linalg.pca_axes(pts)
-    frame = (centers - centroid) @ axes
-    assert np.ptp(frame[:, 0]) > 8.0  # spread along the long axis
-    assert np.max(np.abs(frame[:, 1])) < 1.5
-    assert np.max(np.abs(frame[:, 2])) < 1.5
+def test_knn_and_voxelize_reject_a_value_vector():
+    pts = np.random.default_rng(7).normal(size=(5, 3))
+    for values in (np.ones(5), np.ones((5, 1, 1))):
+        with pytest.raises(ValueError, match=r"values must be an \(n, m\) matrix, got shape"):
+            lofi.knn_average(pts, values, [0, 1], k=2)
+        with pytest.raises(ValueError, match=r"values must be an \(n, m\) matrix, got shape"):
+            lofi.voxelize(pts, values, 1.0)
 
 
 def test_quantize_examples_and_idempotence():
@@ -220,7 +206,7 @@ def test_recipe_json_round_trip():
         PodTruncate(energy=0.9),
         Fps(m=10, seed=3),
         KnnAverage(m=8, k=2, seed=None),
-        Voxelize(size=0.5, pca_align=True),
+        Voxelize(size=0.5),
         Quantize(levels=16),
         Noise(sigma=0.01, seed=7),
         Bias(offset=-0.2),
@@ -233,13 +219,14 @@ def test_recipe_json_round_trip():
     ({"kind": "quantize", "levels": True}, "field 'levels' must be int, got True"),
     ({"kind": "quantize", "levels": 8.0}, "field 'levels' must be int, got 8.0"),
     ({"kind": "bias", "offset": False}, "field 'offset' must be float, got False"),
-    ({"kind": "voxelize", "size": 0.5, "pca_align": 1}, "field 'pca_align' must be bool, got 1"),
+    ({"kind": "voxelize", "size": 0.5, "pca_align": True},
+     "(voxelize): unknown field 'pca_align'"),
     ({"kind": "noise", "sigma": None}, "field 'sigma' must be float, got None"),
     ({"kind": "knn_average", "m": 4}, "missing field(s) ['k']"),
     ({"kind": "blur"}, "recipe stage 1: unknown kind 'blur'"),
     ({"m": 4}, "recipe stage 1: unknown kind None"),
     ("fps", "recipe stage 1: expected an object, got 'fps'"),
-], ids=["bool-for-int", "float-for-int", "bool-for-float", "int-for-bool", "null-for-float",
+], ids=["bool-for-int", "float-for-int", "bool-for-float", "removed-pca-align", "null-for-float",
         "missing-field", "unknown-kind", "no-kind", "not-an-object"])
 def test_recipe_from_json_checks_each_field(stage, message):
     doc = json.dumps({"stages": [{"kind": "bias", "offset": 1}, stage]})

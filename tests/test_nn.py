@@ -249,16 +249,17 @@ def test_train_raises_on_non_finite_parameter():
     assert "non-finite parameter after update" in str(err.value)
 
 
-def test_train_all_frozen_net_runs_without_update():
+def test_train_refuses_an_all_frozen_net():
     rng = np.random.default_rng(7)
     x, y = rng.normal(size=(6, 3)), rng.normal(size=(6, 2))
     net = nn.Mlp.from_widths(3, [4], 2, seed=9)
     net.trainable = [False, False]
     digest = params_digest(net)
-    result = nn.train(net, x, y, epochs=7, monitor=(x, y), patience=100)
-    assert len(result.losses) == 7
-    assert len(set(result.losses)) == 1
+    with pytest.raises(ValueError):
+        nn.train(net, x, y, epochs=7, monitor=(x, y), patience=100)
     assert params_digest(net) == digest
+    with pytest.raises(ValueError):
+        nn.backward(net, nn.forward(net, x)[1], y)
 
 
 def test_json_round_trip_lossless():
