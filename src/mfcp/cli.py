@@ -206,7 +206,8 @@ def cmd_pretrain(cfg):
     config = _mfae_config(cfg)  # fails on bad widths before any output is written
     lf = _load_set(cfg, cfg.lf_set)
     hf = _load_set(cfg, cfg.hf_set)
-    plan = stratified_split(hf, cfg.hf_fraction, cfg.test_fraction, derive_seed(cfg.seed, "split"))
+    seed = derive_seed(cfg.seed, "split")
+    plan = stratified_split(hf, cfg.hf_fraction, cfg.test_fraction, seed)
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_json(_split_path(cfg), {
         "train_idx": plan.train_idx,
@@ -216,7 +217,7 @@ def cmd_pretrain(cfg):
         "test_names": [hf.names[i] for i in plan.test_idx],
         "complementary_names": [hf.names[i] for i in plan.complementary_idx],
         "strata": plan.strata,
-        "seed": plan.seed,
+        "seed": seed,
     })
 
     # LF counterparts of the HF test cases never enter any training
@@ -235,6 +236,7 @@ def cmd_pretrain(cfg):
 def cmd_calibrate(cfg):
     model, lf, hf, split = _stage_inputs(cfg, "model_pretrained")
     x, y = _paired_matrices(lf, hf, split["train_names"])
+    seed = derive_seed(cfg.seed, "calibrate")
     result = conformal.multi_split_calibrate(
         x, y, model,
         n_splits=cfg.calibration_splits,
@@ -242,7 +244,7 @@ def cmd_calibrate(cfg):
         delta=cfg.delta,
         kind=cfg.score_kind,
         patience=cfg.patience,
-        seed=derive_seed(cfg.seed, "calibrate"),
+        seed=seed,
         max_epochs=cfg.max_finetune_epochs,
     )
     path = os.path.join(cfg.out_dir, "calibration.json")
@@ -252,7 +254,7 @@ def cmd_calibrate(cfg):
         "delta": cfg.delta,
         "kind": cfg.score_kind,
         "cal_fraction": cfg.cal_fraction,
-        "seed": result.seed,
+        "seed": seed,
         "R_star": result.radius,
         "E_star": result.epoch,
         "splits": [

@@ -9,7 +9,7 @@ final model can be trained on every available pair.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,8 +80,6 @@ class ConformalCalibration:
     """Single-split calibration artifact: radius = critical_quantile * s."""
 
     s: np.ndarray
-    delta: float
-    kind: str
     critical_quantile: float
     radius: np.ndarray
 
@@ -90,8 +88,7 @@ def calibrate(residuals, delta, kind) -> ConformalCalibration:
     """Textbook single-split calibration from an (n, D) residual matrix."""
     s = modulation(residuals)
     k_s = critical_quantile(scores(residuals, s, kind), delta)
-    return ConformalCalibration(s=s, delta=delta, kind=kind,
-                                critical_quantile=k_s, radius=k_s * s)
+    return ConformalCalibration(s=s, critical_quantile=k_s, radius=k_s * s)
 
 
 @dataclass
@@ -107,10 +104,7 @@ class SplitRecord:
 class MultiSplitCalibration:
     radius: np.ndarray  # component-wise median of the split radii
     epoch: int  # median of the split epochs, rounded up
-    delta: float
-    kind: str
-    splits: list = field(default_factory=list)  # SplitRecord diagnostics
-    seed: int = 0
+    splits: list  # SplitRecord diagnostics
 
 
 def _median_epoch(epochs):
@@ -177,10 +171,7 @@ def multi_split_calibrate(x_lf, y_hf, pretrained, n_splits, cal_fraction, delta,
     return MultiSplitCalibration(
         radius=np.median(np.stack([rec.radius for rec in records]), axis=0),
         epoch=_median_epoch([rec.epoch for rec in records]),
-        delta=delta,
-        kind=kind,
         splits=records,
-        seed=seed,
     )
 
 

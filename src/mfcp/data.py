@@ -15,7 +15,7 @@ import tempfile
 import warnings
 import zipfile
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -296,8 +296,7 @@ class SplitPlan:
     train_idx: list
     test_idx: list
     complementary_idx: list
-    strata: dict = field(default_factory=dict)  # stratum label -> member count
-    seed: int = 0
+    strata: dict  # stratum label -> member count
 
 
 def _tercile_bins(col):
@@ -368,7 +367,6 @@ def stratified_split(s, hf_fraction, test_fraction, seed) -> SplitPlan:
         test_idx=test_idx,
         complementary_idx=[i for i in range(n) if i not in hf_set],
         strata={str(k): len(v) for k, v in sorted(strata.items())},
-        seed=seed,
     )
 
 
@@ -401,7 +399,7 @@ def metrics(pred, truth):
     return {"mae": mae, "rmse": rmse, "r2": r2}
 
 
-NORM_MODES = ("none", "global_minmax", "per_node_standard")
+NORM_MODES = ("none", "per_node_standard")
 
 STD_FLOOR = 1e-8
 
@@ -416,8 +414,6 @@ def _batch(fields):
 @dataclass
 class NormStats:
     mode: str
-    vmin: float = 0.0
-    vmax: float = 0.0
     mean: np.ndarray = None  # (D,)
     std: np.ndarray = None  # (D,), already floored
 
@@ -426,11 +422,6 @@ class NormStats:
         a = _batch(fields)
         if self.mode == "none":
             return a.copy()
-        if self.mode == "global_minmax":
-            span = self.vmax - self.vmin
-            if span == 0.0:
-                return np.zeros_like(a)
-            return (a - self.vmin) / span
         return (a - self.mean[:, None]) / self.std[:, None]
 
     def invert(self, fields):
@@ -438,31 +429,24 @@ class NormStats:
         a = _batch(fields)
         if self.mode == "none":
             return a.copy()
-        if self.mode == "global_minmax":
-            span = self.vmax - self.vmin
-            if span == 0.0:
-                return np.full_like(a, self.vmin)
-            return a * span + self.vmin
         return a * self.std[:, None] + self.mean[:, None]
 
     def to_dict(self):
-        doc = {"mode": self.mode}
-        if self.mode == "global_minmax":
-            doc.update(vmin=self.vmin, vmax=self.vmax)
-        elif self.mode == "per_node_standard":
-            doc.update(mean=self.mean.tolist(), std=self.std.tolist())
-        return doc
+        if self.mode == "none":
+            return {"mode": self.mode}
+        return {"mode": self.mode, "mean": self.mean.tolist(), "std": self.std.tolist()}
 
     @classmethod
     def from_dict(cls, doc):
-        mode = doc["mode"]
+        mode = doc.get("mode")
         if mode not in NORM_MODES:
             raise ValueError(f"unknown normalization mode {mode!r}")
-        if mode == "global_minmax":
-            return cls(mode, vmin=doc["vmin"], vmax=doc["vmax"])
-        if mode == "per_node_standard":
-            return cls(mode, mean=np.array(doc["mean"]), std=np.array(doc["std"]))
-        return cls(mode)
+        if mode == "none":
+            return cls(mode)
+        for key in ("mean", "std"):
+            if key not in doc:
+                raise ValueError(f"{mode} normalization record lacks {key!r}")
+        return cls(mode, mean=np.array(doc["mean"]), std=np.array(doc["std"]))
 
 
 def compute_norm_stats(fields, mode) -> NormStats:
@@ -472,8 +456,6 @@ def compute_norm_stats(fields, mode) -> NormStats:
     a = np.asarray(fields, dtype=np.float64)
     if mode == "none":
         return NormStats("none")
-    if mode == "global_minmax":
-        return NormStats("global_minmax", vmin=float(a.min()), vmax=float(a.max()))
     mean = a.mean(axis=1)
     std = np.maximum(a.std(axis=1), STD_FLOOR)
     return NormStats("per_node_standard", mean=mean, std=std)

@@ -4,8 +4,6 @@ Everything operates on float64 ndarrays and is deterministic for a fixed
 input on a fixed platform.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -23,29 +21,12 @@ def check_matrix(a, name="matrix", max_cols=None):
     return a
 
 
-@dataclass
-class SvdResult:
-    """Thin SVD factors: ``u @ diag(sigma) @ vt`` reconstructs the input.
-
-    ``u`` is (D, r), ``sigma`` is (r,) nonincreasing and nonnegative,
-    ``vt`` is (r, N), with r = min(D, N).
-    """
-
-    u: np.ndarray
-    sigma: np.ndarray
-    vt: np.ndarray
-
-    def reconstruct(self, rank):
-        """The rank-`rank` truncation of the decomposed matrix."""
-        return (self.u[:, :rank] * self.sigma[:rank]) @ self.vt[:rank]
-
-
-def thin_svd(a) -> SvdResult:
-    """Thin singular value decomposition; `sigma` comes back nonincreasing
-    from LAPACK, and the singular vectors keep LAPACK's signs."""
+def thin_svd(a):
+    """Thin SVD `(u, sigma, vt)` of a (D, N) matrix, r = min(D, N): `u` is
+    (D, r), `sigma` (r,) nonincreasing and `vt` (r, N), so `(u * sigma) @ vt`
+    reconstructs the input. The singular vectors keep LAPACK's signs."""
     a = check_matrix(a, "a")
     try:
-        u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+        return np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"SVD failed to converge; defective input? ({exc})")
-    return SvdResult(u=u, sigma=sigma, vt=vt)

@@ -26,11 +26,11 @@ def pod_truncate(x, energy):
     """
     if not 0.0 < energy <= 1.0:
         raise ValueError("energy must be in (0, 1]")
-    svd = linalg.thin_svd(x)
-    cum = np.cumsum(svd.sigma**2)
+    u, sigma, vt = linalg.thin_svd(x)
+    cum = np.cumsum(sigma**2)
     ratios = cum / cum[-1]
     r_star = int(np.argmax(ratios >= energy)) + 1
-    return svd.reconstruct(r_star), r_star, float(ratios[r_star - 1])
+    return (u[:, :r_star] * sigma[:r_star]) @ vt[:r_star], r_star, float(ratios[r_star - 1])
 
 
 def fps(points, m, seed):

@@ -9,12 +9,12 @@ dimensionality gap (and corrects fidelity bias even when dimensions match).
 import copy
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import nn
-from .data import NormStats, compute_norm_stats
+from .data import NORM_MODES, NormStats, compute_norm_stats
 
 PHASE_PRETRAINED = "pretrained"
 PHASE_FINE_TUNED = "fine_tuned"
@@ -41,6 +41,8 @@ class MfaeConfig:
     normalization: str = "per_node_standard"
 
     def __post_init__(self):
+        if self.normalization not in NORM_MODES:
+            raise ValueError(f"unknown normalization mode {self.normalization!r}")
         if not 1 <= self.latent_dim <= self.d_lf:
             raise ValueError("latent_dim must be in 1..d_lf")
         if any(w <= 0 for w in [*self.encoder_widths, *self.decoder_widths, self.upscaler_width()]):
@@ -147,8 +149,7 @@ def fine_tune(model, x_lf, y_hf, epochs, monitor=None, patience=100,
 
     # one tenth of the pretraining rate unless given explicitly
     if adam is None:
-        adam = nn.AdamConfig(lr=cfg.adam.lr / 10.0, beta1=cfg.adam.beta1,
-                             beta2=cfg.adam.beta2, eps=cfg.adam.eps)
+        adam = replace(cfg.adam, lr=cfg.adam.lr / 10.0)
 
     parts = [model.encoder, model.decoder]
     flags = [False, True]
@@ -229,16 +230,44 @@ def save_model(model, out_dir, extra=None):
 
 _META_KEYS = ("format_version", "phase", "config", "lf_stats", "hf_stats")
 
+# field type -> (the JSON types of its values, what they are); a bool is not an int here
+_JSON_TYPES = {int: ((int,), "an int"), float: ((int, float), "a number"), bool: ((bool,), "a bool"),
+               str: ((str,), "a string"), list: ((list,), "a list of ints")}
+
 
 def _from_mapping(cls, doc, what):
-    """`cls(**doc)` for a meta.json mapping with exactly the fields of dataclass `cls`."""
+    """`cls(**doc)` for a meta.json mapping with exactly the fields of dataclass
+    `cls`, each of its type or null if its default is; dataclass fields nest."""
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be a mapping, got {doc!r}")
     names = {f.name for f in fields(cls)}
     if set(doc) != names:
         raise ValueError(f"{what}: unknown key(s) {sorted(set(doc) - names)}, "
                          f"missing key(s) {sorted(names - set(doc))}")
-    return cls(**doc)
+    values = dict(doc)
+    for f in fields(cls):
+        value = doc[f.name]
+        if f.type not in _JSON_TYPES:
+            values[f.name] = _from_mapping(f.type, value, f"{what} {f.name}")
+        elif not (value is None and f.default is None):
+            types, rule = _JSON_TYPES[f.type]
+            if type(value) not in types or f.type is list and any(type(w) is not int for w in value):
+                raise ValueError(f"{what} {f.name} must be {rule}"
+                                 f"{' or null' if f.default is None else ''}, got {value!r}")
+    return cls(**values)
+
+
+def _norm_stats(doc, n_nodes, what):
+    """NormStats of a meta.json entry (None for null), with one mean and std per node."""
+    if doc is None:
+        return None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be null or a mapping, got {doc!r}")
+    for key in ("mean", "std"):
+        if key in doc and not (type(doc[key]) is list and len(doc[key]) == n_nodes
+                               and all(type(v) in (int, float) for v in doc[key])):
+            raise ValueError(f"{what} {key} must be a list of {n_nodes} numbers, one per node")
+    return NormStats.from_dict(doc)
 
 
 def load_model(out_dir) -> MfaeModel:
@@ -248,26 +277,31 @@ def load_model(out_dir) -> MfaeModel:
     meta_path = os.path.join(out_dir, "meta.json")
     with open(meta_path) as fh:
         meta = json.load(fh)
-    if meta.get("format_version") != BUNDLE_VERSION:
-        raise ValueError(f"unsupported bundle version {meta.get('format_version')!r}")
+    if not isinstance(meta, dict) or not set(_META_KEYS) <= set(meta):
+        raise ValueError(f"{meta_path} must be a mapping with the keys {list(_META_KEYS)}")
+    if meta["format_version"] != BUNDLE_VERSION:
+        raise ValueError(f"unsupported bundle version {meta['format_version']!r}")
     config = _from_mapping(MfaeConfig, meta["config"], f"{meta_path} config")
-    config.adam = _from_mapping(nn.AdamConfig, config.adam, f"{meta_path} config adam")
-    with open(os.path.join(out_dir, "encoder.json")) as fh:
-        encoder = nn.from_json(fh.read())
-    with open(os.path.join(out_dir, "decoder.json")) as fh:
-        decoder = nn.from_json(fh.read())
-    upscaler = None
+    phase = meta["phase"]
+    if phase not in (PHASE_PRETRAINED, PHASE_FINE_TUNED):
+        raise ValueError(f"{meta_path}: unknown phase {phase!r}")
+    fine_tuned = phase == PHASE_FINE_TUNED
+    lf_stats = _norm_stats(meta["lf_stats"], config.d_lf, f"{meta_path} lf_stats")
+    hf_stats = _norm_stats(meta["hf_stats"], config.d_hf, f"{meta_path} hf_stats")
+    if lf_stats is None or (hf_stats is not None) != fine_tuned:
+        raise ValueError(f"{meta_path}: a {phase} bundle must have lf_stats and "
+                         f"{'' if fine_tuned else 'no '}hf_stats")
     upath = os.path.join(out_dir, "upscaler.json")
-    if os.path.exists(upath):
-        with open(upath) as fh:
-            upscaler = nn.from_json(fh.read())
-    return MfaeModel(
-        config=config,
-        encoder=encoder,
-        decoder=decoder,
-        upscaler=upscaler,
-        phase=meta["phase"],
-        lf_stats=NormStats.from_dict(meta["lf_stats"]) if meta["lf_stats"] else None,
-        hf_stats=NormStats.from_dict(meta["hf_stats"]) if meta["hf_stats"] else None,
-        provenance={k: v for k, v in meta.items() if k not in _META_KEYS},
-    )
+    want_upscaler = fine_tuned and config.uses_upscaler
+    if os.path.exists(upath) != want_upscaler:
+        raise ValueError(f"{upath} must {'' if want_upscaler else 'not '}exist in a {phase} "
+                         f"bundle whose config has uses_upscaler = {config.uses_upscaler}")
+
+    def read_net(name):
+        with open(os.path.join(out_dir, f"{name}.json")) as fh:
+            return nn.from_json(fh.read())
+
+    upscaler = read_net("upscaler") if want_upscaler else None
+    return MfaeModel(config, read_net("encoder"), read_net("decoder"), upscaler, phase,
+                     lf_stats, hf_stats,
+                     provenance={k: v for k, v in meta.items() if k not in _META_KEYS})

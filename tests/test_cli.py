@@ -474,25 +474,127 @@ def test_oversized_layer_exits_2(tmp_path, capsys, pipeline, key, value, layer):
     assert capsys.readouterr().err == message
 
 
-@pytest.mark.parametrize("edit, message", [
-    (lambda meta: meta["config"].update(bogus=1),
-     "{meta} config: unknown key(s) ['bogus'], missing key(s) []"),
-    (lambda meta: meta["config"].update(adam=5), "{meta} config adam must be a mapping, got 5"),
-    (lambda meta: meta["lf_stats"].update(mode="bogus"), "unknown normalization mode 'bogus'"),
-], ids=["unknown-config-key", "adam-not-a-mapping", "unknown-norm-mode"])
-def test_malformed_bundle_meta_exits_2(tmp_path, capsys, pipeline, edit, message):
+def run_on_edited_bundle(tmp_path, capsys, pipeline, bundle, edit):
+    """Copy the pipeline's out/ tree, apply `edit(meta, bundle_dir)` to the
+    meta.json of `bundle` (a returned value replaces the document) and run the
+    stage that loads that bundle. Returns the exit code, stderr and the
+    bundle directory."""
     import shutil
     root, cfg, _ = pipeline
     edited = dataclasses.replace(cfg, out_dir=str(tmp_path / "edited"))
     shutil.copytree(root / "out", edited.out_dir)
-    meta_path = os.path.join(edited.out_dir, "model_pretrained", "meta.json")
+    bundle_dir = os.path.join(edited.out_dir, bundle)
+    meta_path = os.path.join(bundle_dir, "meta.json")
     meta = json.loads(open(meta_path).read())
-    edit(meta)
-    json.dump(meta, open(meta_path, "w"))
+    doc = edit(meta, bundle_dir)
+    json.dump(meta if doc is None else doc, open(meta_path, "w"))
     (tmp_path / "edited.txt").write_text(dump_config(edited))
+    stage = "calibrate" if bundle == "model_pretrained" else "evaluate"
     capsys.readouterr()
-    assert cli.main(["calibrate", "--config", str(tmp_path / "edited.txt")]) == 2
-    assert capsys.readouterr().err == f"error: {message.format(meta=meta_path)}\n"
+    code = cli.main([stage, "--config", str(tmp_path / "edited.txt")])
+    return code, capsys.readouterr().err, bundle_dir
+
+
+def edit_config(**values):
+    return lambda meta, _: meta["config"].update(values)
+
+
+def edit_adam(**values):
+    return lambda meta, _: meta["config"]["adam"].update(values)
+
+
+META_KEYS = "['format_version', 'phase', 'config', 'lf_stats', 'hf_stats']"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (edit_config(bogus=1), "{meta} config: unknown key(s) ['bogus'], missing key(s) []"),
+    (edit_config(adam=5), "{meta} config adam must be a mapping, got 5"),
+    (lambda meta, _: meta["lf_stats"].update(mode="bogus"), "unknown normalization mode 'bogus'"),
+    (lambda meta, _: [1], "{meta} must be a mapping with the keys " + META_KEYS),
+    (edit_config(latent_dim="3"), "{meta} config latent_dim must be an int, got '3'"),
+    (edit_config(latent_dim=True), "{meta} config latent_dim must be an int, got True"),
+    (edit_config(encoder_widths="4"), "{meta} config encoder_widths must be a list of ints, got '4'"),
+    (edit_config(decoder_widths=[10.0]),
+     "{meta} config decoder_widths must be a list of ints, got [10.0]"),
+    (edit_config(upscaler_hidden="18"),
+     "{meta} config upscaler_hidden must be an int or null, got '18'"),
+    (edit_config(force_adapter=0), "{meta} config force_adapter must be a bool, got 0"),
+    (edit_config(activation=None), "{meta} config activation must be a string, got None"),
+    (edit_config(normalization=1), "{meta} config normalization must be a string, got 1"),
+    (edit_adam(lr="1"), "{meta} config adam lr must be a number, got '1'"),
+    (edit_adam(eps=False), "{meta} config adam eps must be a number, got False"),
+    (lambda meta, _: meta.update(lf_stats=5), "{meta} lf_stats must be null or a mapping, got 5"),
+    (lambda meta, _: meta.update(hf_stats=[]), "{meta} hf_stats must be null or a mapping, got []"),
+], ids=["unknown-config-key", "adam-not-a-mapping", "unknown-norm-mode", "meta-not-a-mapping",
+        "int-as-string", "int-as-bool", "widths-as-string", "widths-of-floats",
+        "upscaler-hidden-as-string", "force-adapter-as-int", "activation-null",
+        "normalization-as-int", "adam-lr-as-string", "adam-eps-as-bool", "lf-stats-as-int",
+        "hf-stats-as-list"])
+def test_malformed_bundle_meta_exits_2(tmp_path, capsys, pipeline, edit, message):
+    code, err, bundle_dir = run_on_edited_bundle(tmp_path, capsys, pipeline,
+                                                 "model_pretrained", edit)
+    assert code == 2
+    assert err == f"error: {message.format(meta=os.path.join(bundle_dir, 'meta.json'))}\n"
+
+
+def drop_lf_stats_key(key):
+    def edit(meta, _):
+        del meta["lf_stats"][key]
+    return edit
+
+
+def copy_upscaler(meta, bundle_dir):
+    import shutil
+    final = os.path.join(os.path.dirname(bundle_dir), "model_final", "upscaler.json")
+    shutil.copy(final, os.path.join(bundle_dir, "upscaler.json"))
+
+
+@pytest.mark.parametrize("bundle, edit, message", [
+    ("model_pretrained", drop_lf_stats_key("mean"),
+     "per_node_standard normalization record lacks 'mean'"),
+    ("model_pretrained", drop_lf_stats_key("std"),
+     "per_node_standard normalization record lacks 'std'"),
+    ("model_pretrained", lambda meta, _: meta["lf_stats"].update(mean=[0.0], std=[1.0]),
+     "{meta} lf_stats mean must be a list of 12 numbers, one per node"),
+    ("model_pretrained", lambda meta, _: meta["lf_stats"].update(std={}),
+     "{meta} lf_stats std must be a list of 12 numbers, one per node"),
+    ("model_pretrained", lambda meta, _: meta["lf_stats"]["mean"].__setitem__(0, "0"),
+     "{meta} lf_stats mean must be a list of 12 numbers, one per node"),
+    ("model_final", lambda meta, _: meta["hf_stats"].update(mean=[0.0]),
+     "{meta} hf_stats mean must be a list of 24 numbers, one per node"),
+    ("model_pretrained", lambda meta, _: meta.update(phase="bogus"),
+     "{meta}: unknown phase 'bogus'"),
+    ("model_final", lambda meta, _: meta.update(hf_stats=None),
+     "{meta}: a fine_tuned bundle must have lf_stats and hf_stats"),
+    ("model_pretrained", lambda meta, _: meta.update(hf_stats={"mode": "none"}),
+     "{meta}: a pretrained bundle must have lf_stats and no hf_stats"),
+    ("model_pretrained", lambda meta, _: meta.update(lf_stats=None),
+     "{meta}: a pretrained bundle must have lf_stats and no hf_stats"),
+    ("model_final", lambda meta, bundle_dir: os.remove(os.path.join(bundle_dir, "upscaler.json")),
+     "{upscaler} must exist in a fine_tuned bundle whose config has uses_upscaler = True"),
+    ("model_pretrained", copy_upscaler,
+     "{upscaler} must not exist in a pretrained bundle whose config has uses_upscaler = True"),
+], ids=["lf-stats-without-mean", "lf-stats-without-std", "lf-stats-of-one-node",
+        "lf-stats-std-a-mapping", "lf-stats-mean-with-a-string", "hf-stats-mean-of-one-node", "unknown-phase", "fine-tuned-without-hf-stats",
+        "hf-stats-without-fine-tuning", "no-lf-stats", "fine-tuned-without-upscaler",
+        "pretrained-with-upscaler"])
+def test_inconsistent_bundle_exits_2(tmp_path, capsys, pipeline, bundle, edit, message):
+    code, err, bundle_dir = run_on_edited_bundle(tmp_path, capsys, pipeline, bundle, edit)
+    assert code == 2
+    assert err == "error: " + message.format(
+        meta=os.path.join(bundle_dir, "meta.json"),
+        upscaler=os.path.join(bundle_dir, "upscaler.json")) + "\n"
+
+
+@pytest.mark.parametrize("mode", ["global_minmax", "bogus"])
+def test_unknown_normalization_exits_2_before_any_output(tmp_path, capsys, pipeline, mode):
+    _, cfg, _ = pipeline
+    bad = dataclasses.replace(cfg, out_dir=str(tmp_path / "out"), normalization=mode)
+    (tmp_path / "c.txt").write_text(dump_config(bad))
+    capsys.readouterr()
+    assert cli.main(["pretrain", "--config", str(tmp_path / "c.txt")]) == 2
+    assert capsys.readouterr().err == f"error: unknown normalization mode {mode!r}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_full_chain_reruns_byte_identical(pipeline, tmp_path_factory):

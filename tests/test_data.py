@@ -481,10 +481,10 @@ def test_normalize_none_is_identity():
 
 def test_normalize_constant_field_guard():
     fields = np.full((3, 2), 7.5)
-    stats = data.compute_norm_stats(fields, "global_minmax")
+    stats = data.compute_norm_stats(fields, "per_node_standard")
     out = stats.apply(fields)
     assert not np.any(out)
-    assert stats.vmin == stats.vmax == 7.5
+    assert np.array_equal(stats.std, np.full(3, data.STD_FLOOR))
     assert np.array_equal(stats.invert(out), fields)
 
 

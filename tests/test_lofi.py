@@ -260,7 +260,8 @@ def test_apply_recipe_matches_direct_chain_of_every_stage_kind():
     # not lean on pod_truncate's provenance
     pod = lofi.pod_truncate(s.fields, 0.95)
     f, r_star = pod[0], pod[1]
-    cum = np.cumsum(linalg.thin_svd(s.fields).sigma ** 2)
+    _, sigma, _ = linalg.thin_svd(s.fields)
+    cum = np.cumsum(sigma ** 2)
     retained = float((cum / cum[-1])[r_star - 1])
     mask = lofi.fps(s.coords, 40, 3)
     f, c = f[mask], s.coords[mask]

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,8 @@ def test_config_invariants():
         small_config(encoder_widths=[8, 0])
     with pytest.raises(ValueError):
         small_config(upscaler_hidden=-1)
+    with pytest.raises(ValueError, match="unknown normalization mode 'global_minmax'"):
+        small_config(normalization="global_minmax")
     # a 16 x width layer, at the weight bound and one column over it
     small_config(encoder_widths=[mfae.MAX_LAYER_WEIGHTS // 16])
     with pytest.raises(ValueError, match="MAX_LAYER_WEIGHTS"):
@@ -185,6 +189,19 @@ def test_bundle_round_trip(tmp_path):
     assert params_digest(loaded.upscaler) == params_digest(model.upscaler)
     x = lf[:, 1:2]
     assert np.array_equal(mfae.predict(loaded, x), mfae.predict(model, x))
+
+
+def test_load_model_refuses_an_upscaler_the_config_does_not_use(tmp_path):
+    lf, hf, _ = sinusoid_pair_benchmark(20, 16, 16, seed=15)
+    model = mfae.pretrain(small_config(d_hf=16, force_adapter=True, pretrain_epochs=5), lf)
+    mfae.fine_tune(model, lf, hf, epochs=2)
+    mfae.save_model(model, tmp_path)
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    meta["config"]["force_adapter"] = False
+    (tmp_path / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="must not exist in a fine_tuned bundle whose config "
+                                         "has uses_upscaler = False"):
+        mfae.load_model(tmp_path)
 
 
 def test_clone_is_independent():
