@@ -5,6 +5,7 @@ D-node coordinates, and per-snapshot named parameter rows. Sets are treated
 as immutable; every operation returns new arrays.
 """
 
+import codecs
 import csv
 import hashlib
 import json
@@ -181,8 +182,11 @@ def load_csv(path, *, cache_dir=None) -> SnapshotSet:
 
 
 # cache key prefix: the entry layout version, then the text encoding the
-# parser decodes names with
-_CACHE_TAG = f"mfcp snapshot cache 1\n{locale.getpreferredencoding(False)}\n".encode()
+# parser decodes names with, by its codec's name: a C locale reports
+# "utf-8" to a stage started from a shell and "UTF-8" to one a Python
+# parent started (PEP 538), for the same codec
+_CACHE_TAG = (f"mfcp snapshot cache 1\n"
+              f"{codecs.lookup(locale.getpreferredencoding(False)).name}\n").encode()
 
 
 def _digest(*paths):
@@ -446,7 +450,15 @@ class NormStats:
         for key in ("mean", "std"):
             if key not in doc:
                 raise ValueError(f"{mode} normalization record lacks {key!r}")
-        return cls(mode, mean=np.array(doc["mean"]), std=np.array(doc["std"]))
+        mean, std = np.array(doc["mean"]), np.array(doc["std"])
+        # compute_norm_stats never writes these; a std of 0 would map every
+        # prediction to the mean
+        if not np.isfinite(mean).all():
+            raise ValueError(f"{mode} normalization record needs a finite mean for every node")
+        if not (np.isfinite(std) & (std >= STD_FLOOR)).all():
+            raise ValueError(f"{mode} normalization record needs a finite std >= STD_FLOOR = "
+                             f"{STD_FLOOR} for every node")
+        return cls(mode, mean=mean, std=std)
 
 
 def compute_norm_stats(fields, mode) -> NormStats:

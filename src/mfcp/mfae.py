@@ -125,8 +125,11 @@ def fine_tune(model, x_lf, y_hf, epochs, monitor=None, patience=100,
     `epochs` epochs, or, with a `monitor=(x_val, y_val)` pair of (d_lf, m)/
     (d_hf, m) matrices, for at most `epochs` with early stopping (best-epoch
     weights restored). The up-scaler, when the architecture calls for one,
-    is always initialized from scratch here. Returns the per-phase
-    nn.TrainResult (loss history in normalized units).
+    is always initialized from scratch here. The encoder runs once per call,
+    on the training and the monitor rows, and the decoder and up-scaler
+    train on those latents: the same bits as training the whole stack with
+    the encoder frozen, without its forward pass each epoch. Returns the
+    per-phase nn.TrainResult (loss history in normalized units).
     """
     if model.phase != PHASE_PRETRAINED:
         raise ValueError(f"fine_tune requires a pretrained model, got phase {model.phase!r}")
@@ -151,23 +154,22 @@ def fine_tune(model, x_lf, y_hf, epochs, monitor=None, patience=100,
     if adam is None:
         adam = replace(cfg.adam, lr=cfg.adam.lr / 10.0)
 
-    parts = [model.encoder, model.decoder]
-    flags = [False, True]
-    if model.upscaler is not None:
-        parts.append(model.upscaler)
-        flags.append(True)
-    net = nn.stack(*parts, trainable=flags)
+    # the frozen encoder maps each row to the same latent every epoch, so it
+    # runs once here and training starts at the decoder
+    encoder = nn.stack(model.encoder, trainable=[False])
 
-    inputs = model.lf_stats.apply(x).T
-    targets = model.hf_stats.apply(y).T
+    def latents(fields):
+        return nn.forward(encoder, model.lf_stats.apply(fields).T)[0]
+
+    net = nn.stack(*[part for part in (model.decoder, model.upscaler) if part is not None])
     mon = None
     if monitor is not None:
-        mon = (model.lf_stats.apply(monitor[0]).T, model.hf_stats.apply(monitor[1]).T)
+        mon = (latents(monitor[0]), model.hf_stats.apply(monitor[1]).T)
     if epochs == 0 and mon is None:  # nn.train needs epochs >= 1; E* may be 0
         result = nn.TrainResult()
     else:
-        result = nn.train(net, inputs, targets, epochs=epochs, adam=adam,
-                          monitor=mon, patience=patience)
+        result = nn.train(net, latents(x), model.hf_stats.apply(y).T, epochs=epochs,
+                          adam=adam, monitor=mon, patience=patience)
     model.phase = PHASE_FINE_TUNED
     return result
 

@@ -8,8 +8,11 @@ During `train` the trainable parameters live in one contiguous buffer:
 each trainable layer's weights and biases are rebound as views into it, so
 Adam, the finiteness check and the best-epoch snapshot each touch a single
 array, and networks that share the layers see the trained values without a
-copy-back. `backward` stops at the first trainable layer; the frozen layers
-below it get no gradient because nothing reads one.
+copy-back. `backward` writes the gradients into a second buffer of the same
+layout. It stops at the first trainable layer; the frozen layers below it
+get no gradient because nothing reads one. Fine-tuning (`mfae.fine_tune`)
+does not lean on that: it runs the frozen encoder once per fine-tune and
+trains the decoder and up-scaler on the latents.
 """
 
 import json
@@ -118,34 +121,49 @@ def forward(net, x):
         raise ValueError(f"input must be an (n, {net.n_in}) batch, got shape {a.shape}")
     cache = []
     for layer in net.layers:
-        z = a @ layer.weights.T + layer.biases
+        z = a @ layer.weights.T
+        z += layer.biases
         cache.append((a, z))
         a = np.maximum(z, 0.0) if layer.activation == "relu" else z
     return a, cache
 
 
-def backward(net, cache, grad_out):
+def backward(net, cache, grad_out, out=None):
     """Backpropagate; returns one (dW, db) pair per trainable layer.
 
-    Frozen layers above a trainable one pass the upstream gradient through
-    but contribute no parameter gradients. The pass ends at the first
-    trainable layer: it forms no input gradient there and visits no layer
-    below it. `grad_out` must match the forward output's (n, d_out) shape.
+    The pairs are views into one flat buffer laid out as the concatenated
+    `trainable_parameters`: `out` when given (`train` passes its gradient
+    buffer), else a new one. Frozen layers above a trainable one pass the
+    upstream gradient through but contribute no parameter gradients. The
+    pass ends at the first trainable layer: it forms no input gradient there
+    and visits no layer below it. `grad_out` must match the forward output's
+    (n, d_out) shape; neither it nor the cache is written to.
     """
     g = np.asarray(grad_out, dtype=np.float64)
     if len(cache) != len(net.layers):
         raise ValueError("cache does not match network depth")
     first = net.trainable.index(True)  # ValueError when no layer trains
+    top = len(net.layers) - 1
+    if out is None:
+        out = np.empty(sum(p.size for p in trainable_parameters(net)))
+    end = out.size  # the layers run top down, so the buffer fills from its end
     grads = []
-    for i in range(len(net.layers) - 1, first - 1, -1):
+    for i in range(top, first - 1, -1):
         layer = net.layers[i]
         a_in, z = cache[i]
         if g.shape != z.shape:
             raise ValueError(f"stale cache: gradient shape {g.shape} != {z.shape}")
         if layer.activation == "relu":
-            g = g * (z > 0.0)
+            # below the top layer g is this pass's own `g @ W` product
+            g = np.multiply(g, z > 0.0, out=g if i < top else None)
         if net.trainable[i]:
-            grads.append((g.T @ a_in, g.sum(axis=0)))
+            start = end - layer.weights.size - layer.biases.size
+            dw = out[start:end - layer.biases.size].reshape(layer.weights.shape)
+            db = out[end - layer.biases.size:end]
+            np.matmul(g.T, a_in, out=dw)
+            np.add.reduce(g, axis=0, out=db)  # g.sum(axis=0) without its Python wrapper
+            grads.append((dw, db))
+            end = start
         if i > first:
             g = g @ layer.weights
     return grads[::-1]
@@ -184,9 +202,13 @@ def mse_loss(pred, target):
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch {pred.shape} vs {target.shape}")
     diff = pred - target
-    loss = float(np.mean(diff * diff))
-    grad = 2.0 * diff / diff.size
-    return loss, grad
+    # the gradient 2 * diff / size; the array freed on return is the one
+    # allocated first, so glibc does not trim it off the heap's top and
+    # fault its pages in again next epoch
+    grad = diff * 2.0
+    grad /= grad.size
+    diff *= diff
+    return float(np.add.reduce(diff, axis=None) / diff.size), grad  # the bits of np.mean
 
 
 @dataclass
@@ -195,6 +217,16 @@ class AdamConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+
+    def __post_init__(self):
+        # `not` so that NaN fails; an infinite lr or eps stays legal
+        if not self.lr > 0:
+            raise ValueError(f"adam lr must be > 0, got {self.lr!r}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"adam {name} must be >= 0 and < 1, got {getattr(self, name)!r}")
+        if not self.eps > 0:
+            raise ValueError(f"adam eps must be > 0, got {self.eps!r}")
 
 
 class AdamState:
@@ -272,8 +304,10 @@ def train(net, inputs, targets, epochs, adam=None, monitor=None, patience=100):
     state = AdamState([flat], adam)
 
     def val_mse():
-        pred, _ = forward(net, monitor[0])
-        return float(np.mean((pred - monitor[1]) ** 2))
+        err, _ = forward(net, monitor[0])  # a fresh array: square its error in place
+        err -= monitor[1]
+        err *= err
+        return float(np.add.reduce(err, axis=None) / err.size)
 
     result = TrainResult()
     best = None
@@ -288,8 +322,7 @@ def train(net, inputs, targets, epochs, adam=None, monitor=None, patience=100):
         if not math.isfinite(loss):
             raise TrainingDiverged(epoch)
         result.losses.append(loss)
-        grads = backward(net, cache, grad)
-        np.concatenate([g.ravel() for pair in grads for g in pair], out=gflat)
+        backward(net, cache, grad, out=gflat)
         adam_step(state, [flat], [gflat])
         if not np.isfinite(flat).all():
             raise TrainingDiverged(epoch, "non-finite parameter after update")

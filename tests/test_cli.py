@@ -523,12 +523,17 @@ META_KEYS = "['format_version', 'phase', 'config', 'lf_stats', 'hf_stats']"
     (edit_config(normalization=1), "{meta} config normalization must be a string, got 1"),
     (edit_adam(lr="1"), "{meta} config adam lr must be a number, got '1'"),
     (edit_adam(eps=False), "{meta} config adam eps must be a number, got False"),
+    (edit_adam(beta1=1.5), "adam beta1 must be >= 0 and < 1, got 1.5"),
+    (edit_adam(beta2=1000000), "adam beta2 must be >= 0 and < 1, got 1000000"),
+    (edit_adam(lr=float("nan")), "adam lr must be > 0, got nan"),
+    (edit_adam(eps=0), "adam eps must be > 0, got 0"),
     (lambda meta, _: meta.update(lf_stats=5), "{meta} lf_stats must be null or a mapping, got 5"),
     (lambda meta, _: meta.update(hf_stats=[]), "{meta} hf_stats must be null or a mapping, got []"),
 ], ids=["unknown-config-key", "adam-not-a-mapping", "unknown-norm-mode", "meta-not-a-mapping",
         "int-as-string", "int-as-bool", "widths-as-string", "widths-of-floats",
         "upscaler-hidden-as-string", "force-adapter-as-int", "activation-null",
-        "normalization-as-int", "adam-lr-as-string", "adam-eps-as-bool", "lf-stats-as-int",
+        "normalization-as-int", "adam-lr-as-string", "adam-eps-as-bool", "adam-beta1-above-1",
+        "adam-beta2-a-huge-int", "adam-lr-nan", "adam-eps-zero", "lf-stats-as-int",
         "hf-stats-as-list"])
 def test_malformed_bundle_meta_exits_2(tmp_path, capsys, pipeline, edit, message):
     code, err, bundle_dir = run_on_edited_bundle(tmp_path, capsys, pipeline,
@@ -549,6 +554,10 @@ def copy_upscaler(meta, bundle_dir):
     shutil.copy(final, os.path.join(bundle_dir, "upscaler.json"))
 
 
+STD_RULE = ("per_node_standard normalization record needs a finite std >= STD_FLOOR = 1e-08 "
+            "for every node")
+
+
 @pytest.mark.parametrize("bundle, edit, message", [
     ("model_pretrained", drop_lf_stats_key("mean"),
      "per_node_standard normalization record lacks 'mean'"),
@@ -562,6 +571,13 @@ def copy_upscaler(meta, bundle_dir):
      "{meta} lf_stats mean must be a list of 12 numbers, one per node"),
     ("model_final", lambda meta, _: meta["hf_stats"].update(mean=[0.0]),
      "{meta} hf_stats mean must be a list of 24 numbers, one per node"),
+    ("model_final", lambda meta, _: meta["hf_stats"]["std"].__setitem__(0, 0.0), STD_RULE),
+    ("model_final", lambda meta, _: meta["hf_stats"]["std"].__setitem__(3, -1.0), STD_RULE),
+    ("model_final", lambda meta, _: meta["hf_stats"]["std"].__setitem__(5, 1e-9), STD_RULE),
+    ("model_pretrained", lambda meta, _: meta["lf_stats"]["std"].__setitem__(0, math.inf),
+     STD_RULE),
+    ("model_pretrained", lambda meta, _: meta["lf_stats"]["mean"].__setitem__(2, math.nan),
+     "per_node_standard normalization record needs a finite mean for every node"),
     ("model_pretrained", lambda meta, _: meta.update(phase="bogus"),
      "{meta}: unknown phase 'bogus'"),
     ("model_final", lambda meta, _: meta.update(hf_stats=None),
@@ -575,7 +591,9 @@ def copy_upscaler(meta, bundle_dir):
     ("model_pretrained", copy_upscaler,
      "{upscaler} must not exist in a pretrained bundle whose config has uses_upscaler = True"),
 ], ids=["lf-stats-without-mean", "lf-stats-without-std", "lf-stats-of-one-node",
-        "lf-stats-std-a-mapping", "lf-stats-mean-with-a-string", "hf-stats-mean-of-one-node", "unknown-phase", "fine-tuned-without-hf-stats",
+        "lf-stats-std-a-mapping", "lf-stats-mean-with-a-string", "hf-stats-mean-of-one-node",
+        "hf-stats-std-zero", "hf-stats-std-negative", "hf-stats-std-below-the-floor",
+        "lf-stats-std-infinite", "lf-stats-mean-nan", "unknown-phase", "fine-tuned-without-hf-stats",
         "hf-stats-without-fine-tuning", "no-lf-stats", "fine-tuned-without-upscaler",
         "pretrained-with-upscaler"])
 def test_inconsistent_bundle_exits_2(tmp_path, capsys, pipeline, bundle, edit, message):

@@ -1,5 +1,8 @@
 import csv
 import io
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -255,6 +258,24 @@ def test_cache_hit_gives_the_bits_of_a_parse(tmp_path, monkeypatch):
     monkeypatch.setattr(data, "_parse_csv", no_parse)
     assert_same_set(data.load_csv(tmp_path / "set.csv", cache_dir=cache), parsed)  # hit
     assert entries(cache) == [entry]
+
+
+PRINT_CACHE_TAG = "import sys, mfcp.data; sys.stdout.write(mfcp.data._CACHE_TAG.decode())"
+
+
+def test_cache_tag_is_the_same_however_a_stage_is_started():
+    # Under a C locale a stage started from a shell runs in UTF-8 mode and
+    # spells its encoding "utf-8"; one started by a Python parent inherits
+    # LC_CTYPE=C.UTF-8 from locale coercion (PEP 538) and spells it "UTF-8".
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith(("LC_", "LANG", "PYTHONUTF8", "PYTHONCOERCECLOCALE"))}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(data.__file__)))
+    from_shell = [sys.executable, "-c", PRINT_CACHE_TAG]
+    from_python = [sys.executable, "-c",
+                   f"import subprocess, sys; subprocess.run({from_shell!r}, check=True)"]
+    tags = [subprocess.run(cmd, env=env, capture_output=True, text=True, check=True).stdout
+            for cmd in (from_shell, from_python)]
+    assert tags == ["mfcp snapshot cache 1\nutf-8\n"] * 2
 
 
 @pytest.mark.parametrize("which", ["fields", "params"])

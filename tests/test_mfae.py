@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from mfcp import mfae, nn
-from mfcp.data import metrics
+from mfcp import conformal, mfae, nn
+from mfcp.data import compute_norm_stats, metrics
 
 from helpers import params_digest, sinusoid_pair_benchmark
 
@@ -110,6 +111,75 @@ def test_fine_tune_freezes_encoder_and_sets_phase():
     assert np.array_equal(mfae.encode(model, lf[:, :1]), latent_before)
     with pytest.raises(ValueError, match="pretrained"):
         mfae.fine_tune(model, lf, hf, epochs=1)
+
+
+# --- fine_tune against training the whole stack with the encoder frozen ----------
+
+
+def stacked_fine_tune(model, x_lf, y_hf, epochs, monitor=None, patience=100, adam=None,
+                      seed=None):
+    """fine_tune as nn.train on nn.stack(encoder, decoder, upscaler) with the
+    encoder frozen, so the encoder's forward pass runs every epoch."""
+    cfg = model.config
+    if cfg.uses_upscaler:
+        model.upscaler = nn.Mlp.from_widths(cfg.d_lf, [cfg.upscaler_width()], cfg.d_hf,
+                                            seed=[cfg.seed, 2] if seed is None else seed,
+                                            hidden_activation=cfg.activation)
+    model.hf_stats = compute_norm_stats(y_hf, cfg.normalization)
+    adam = adam or dataclasses.replace(cfg.adam, lr=cfg.adam.lr / 10.0)
+    parts = [p for p in (model.encoder, model.decoder, model.upscaler) if p is not None]
+    net = nn.stack(*parts, trainable=[False] + [True] * (len(parts) - 1))
+    mon = monitor and (model.lf_stats.apply(monitor[0]).T, model.hf_stats.apply(monitor[1]).T)
+    result = nn.train(net, model.lf_stats.apply(x_lf).T, model.hf_stats.apply(y_hf).T,
+                      epochs, adam, mon, patience)
+    model.phase = mfae.PHASE_FINE_TUNED
+    return result
+
+
+def trained_bits(model, result):
+    """What a fine-tune decides: the trained parameters and the training record."""
+    nets = [model.decoder] + ([model.upscaler] if model.upscaler is not None else [])
+    return ([params_digest(net) for net in nets], result.losses, result.val_losses,
+            result.best_epoch, result.halted_early)
+
+
+@pytest.mark.parametrize("d_hf", [24, 16], ids=["upscaler", "no-upscaler"])
+def test_fine_tune_matches_the_frozen_stack_bitwise(d_hf):
+    lf, hf, _ = sinusoid_pair_benchmark(30, 16, d_hf, seed=17)
+    pretrained = mfae.pretrain(small_config(d_hf=d_hf, pretrain_epochs=60), lf)
+    runs = []
+    for tune in (mfae.fine_tune, stacked_fine_tune):
+        model = mfae.clone(pretrained)
+        result = tune(model, lf[:, :20], hf[:, :20], epochs=50)
+        runs.append(trained_bits(model, result))
+        runs.append(mfae.predict(model, lf[:, 20:]).tobytes())
+    assert runs[0] == runs[2] and runs[1] == runs[3]
+    assert runs[0][2] is None and len(runs[0][1]) == 50
+
+
+def test_early_stopped_calibration_matches_the_frozen_stack_bitwise(monkeypatch):
+    lf, hf, _ = sinusoid_pair_benchmark(14, 16, 24, seed=3)
+    cfg = small_config(pretrain_epochs=150)
+    pretrained = mfae.pretrain(cfg, lf)
+    runs = []
+    for tune in (mfae.fine_tune, stacked_fine_tune):
+        tuned = []
+
+        def recorded(model, *args, tune=tune, tuned=tuned, **kwargs):
+            result = tune(model, *args, **kwargs)
+            tuned.append(trained_bits(model, result))
+            return result
+
+        monkeypatch.setattr(mfae, "fine_tune", recorded)
+        calibration = conformal.multi_split_calibrate(
+            lf, hf, pretrained, n_splits=3, cal_fraction=0.3, delta=0.2, kind="linf",
+            patience=10, seed=1, max_epochs=400, adam=nn.AdamConfig(lr=2e-2))
+        runs.append((tuned, [(rec.epoch, rec.critical_quantile, rec.radius.tobytes())
+                             for rec in calibration.splits], calibration.radius.tobytes()))
+    assert runs[0] == runs[1]
+    # at least two splits halt early, at different epochs
+    halted = {bits[3] for bits in runs[0][0] if bits[4]}
+    assert len(halted) >= 2
 
 
 def test_predict_is_exactly_the_stepwise_composition():

@@ -96,6 +96,143 @@ def test_backward_frozen_prefix_matches_all_trainable_bitwise():
         assert np.array_equal(db, db_full)
 
 
+# --- the training step against its allocating form ---------------------------------
+#
+# `forward`, `backward`, `mse_loss` and the validation loss write into their own
+# temporaries and into one gradient buffer; these references form every
+# temporary afresh, as the expression form reads.
+
+
+def reference_forward(net, x):
+    a, cache = x, []
+    for layer in net.layers:
+        z = a @ layer.weights.T + layer.biases
+        cache.append((a, z))
+        a = np.maximum(z, 0.0) if layer.activation == "relu" else z
+    return a, cache
+
+
+def reference_backward(net, cache, grad_out):
+    g, grads = grad_out, []
+    first = net.trainable.index(True)
+    for i in range(len(net.layers) - 1, first - 1, -1):
+        a_in, z = cache[i]
+        if net.layers[i].activation == "relu":
+            g = g * (z > 0.0)
+        if net.trainable[i]:
+            grads.append((g.T @ a_in, g.sum(axis=0)))
+        if i > first:
+            g = g @ net.layers[i].weights
+    return grads[::-1]
+
+
+def reference_train(net, x, y, epochs, adam, monitor, patience):
+    """(losses, val_losses, best_epoch) of nn.train's schedule, Adam per array."""
+    params = nn.trainable_parameters(net)
+    state = nn.AdamState(params, adam)
+
+    def val_mse():
+        return float(np.mean((reference_forward(net, monitor[0])[0] - monitor[1]) ** 2))
+
+    losses, val_losses, best_epoch = [], [val_mse()], 0
+    best = [p.copy() for p in params]
+    for epoch in range(1, epochs + 1):
+        pred, cache = reference_forward(net, x)
+        diff = pred - y
+        losses.append(float(np.mean(diff * diff)))
+        grads = reference_backward(net, cache, 2.0 * diff / diff.size)
+        nn.adam_step(state, params, [g for pair in grads for g in pair])
+        val_losses.append(val_mse())
+        if val_losses[-1] < val_losses[best_epoch] - 1e-12:
+            best_epoch = epoch
+            best = [p.copy() for p in params]
+        elif epoch - best_epoch >= patience:
+            break
+    for p, b in zip(params, best):
+        p[...] = b
+    return losses, val_losses, best_epoch
+
+
+def relu_topped_net(seed, trainable):
+    """Three relu layers, the output one too, so the top layer's mask runs."""
+    rng = np.random.default_rng(seed)
+    layers = [nn.DenseLayer.init(i, o, "relu", rng) for i, o in ((5, 7), (7, 6), (6, 4))]
+    return nn.Mlp(layers, trainable=trainable)
+
+
+MASKS = [[True, True, True], [False, True, True], [True, False, True], [False, False, True]]
+
+
+@pytest.mark.parametrize("trainable", MASKS, ids=["all", "frozen-first", "frozen-middle",
+                                                  "frozen-prefix"])
+def test_backward_matches_the_allocating_form_bitwise_and_writes_no_input(trainable):
+    net = relu_topped_net(31, trainable)
+    rng = np.random.default_rng(32)
+    x = rng.normal(size=(5, 9)).T  # a transposed (F-ordered) batch, as fine_tune's rows
+    pred, cache = nn.forward(net, x)
+    ref_pred, ref_cache = reference_forward(net, x)
+    assert pred.tobytes() == ref_pred.tobytes()
+    assert all(a.tobytes() == ra.tobytes() and z.tobytes() == rz.tobytes()
+               for (a, z), (ra, rz) in zip(cache, ref_cache))
+    grad = rng.normal(size=pred.shape)
+    before = [grad.copy()] + [arr.copy() for pair in cache for arr in pair]
+    want = reference_backward(net, cache, grad)
+    buffer = np.full(sum(p.size for p in nn.trainable_parameters(net)), np.nan)
+    for got in (nn.backward(net, cache, grad), nn.backward(net, cache, grad, out=buffer)):
+        assert len(got) == len(want) == sum(trainable)
+        for (dw, db), (rw, rb) in zip(got, want):
+            assert dw.shape == rw.shape and dw.tobytes() == rw.tobytes()
+            assert db.shape == rb.shape and db.tobytes() == rb.tobytes()
+    # with `out`, the pairs are views laid out as trainable_parameters
+    assert buffer.tobytes() == np.concatenate([g.ravel() for pair in want for g in pair]).tobytes()
+    after = [grad] + [arr for pair in cache for arr in pair]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
+
+
+def test_mse_loss_matches_the_allocating_form_bitwise_and_writes_no_input():
+    rng = np.random.default_rng(33)
+    for shape in ((7,), (6, 5)):
+        pred, target = rng.normal(size=shape), rng.normal(size=shape)
+        before = pred.copy(), target.copy()
+        loss, grad = nn.mse_loss(pred, target)
+        diff = pred - target
+        assert loss == float(np.mean(diff * diff))
+        assert grad.tobytes() == (2.0 * diff / diff.size).tobytes()
+        assert pred.tobytes() == before[0].tobytes() and target.tobytes() == before[1].tobytes()
+
+
+@pytest.mark.parametrize("trainable", MASKS[:2], ids=["all", "frozen-first"])
+def test_train_matches_the_allocating_form_bitwise(trainable):
+    rng = np.random.default_rng(34)
+    x, y = rng.normal(size=(12, 5)), rng.normal(size=(12, 4))
+    monitor = (rng.normal(size=(6, 5)), rng.normal(size=(6, 4)))
+    adam = nn.AdamConfig(lr=2e-2)
+    net, ref = relu_topped_net(35, trainable), relu_topped_net(35, trainable)
+    result = nn.train(net, x, y, epochs=400, adam=adam, monitor=monitor, patience=15)
+    losses, val_losses, best_epoch = reference_train(ref, x, y, 400, adam, monitor, 15)
+    assert result.halted_early and 0 < result.best_epoch < len(result.losses)
+    assert (result.losses, result.val_losses, result.best_epoch) == (losses, val_losses,
+                                                                      best_epoch)
+    assert params_digest(net) == params_digest(ref)
+
+
+def test_adam_config_range_rules():
+    nn.AdamConfig(lr=float("inf"), beta1=0.0, beta2=0.0, eps=float("inf"))  # legal edges
+    for bad, message in [
+        (dict(lr=0.0), "adam lr must be > 0, got 0.0"),
+        (dict(lr=float("nan")), "adam lr must be > 0, got nan"),
+        (dict(beta1=1.5), "adam beta1 must be >= 0 and < 1, got 1.5"),
+        (dict(beta1=1.0), "adam beta1 must be >= 0 and < 1, got 1.0"),
+        (dict(beta1=-0.1), "adam beta1 must be >= 0 and < 1, got -0.1"),
+        (dict(beta2=1000000), "adam beta2 must be >= 0 and < 1, got 1000000"),
+        (dict(beta2=float("nan")), "adam beta2 must be >= 0 and < 1, got nan"),
+        (dict(eps=0.0), "adam eps must be > 0, got 0.0"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            nn.AdamConfig(**bad)
+        assert str(err.value) == message
+
+
 def test_adam_matches_textbook_expressions_bitwise():
     rng = np.random.default_rng(17)
     shapes = [(4, 3), (5,), (2, 3, 2), (1,)]
