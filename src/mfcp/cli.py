@@ -132,7 +132,7 @@ def _mfae_config(cfg) -> mfae.MfaeConfig:
         encoder_widths=_widths(cfg.encoder_widths),
         latent_dim=cfg.latent_dim,
         decoder_widths=_widths(cfg.decoder_widths),
-        upscaler_hidden=cfg.upscaler_hidden or None,
+        upscaler_hidden=cfg.upscaler_hidden,
         force_adapter=cfg.force_adapter,
         seed=derive_seed(cfg.seed, "init"),
         pretrain_epochs=cfg.pretrain_epochs,

@@ -441,16 +441,21 @@ class NormStats:
         return {"mode": self.mode, "mean": self.mean.tolist(), "std": self.std.tolist()}
 
     @classmethod
-    def from_dict(cls, doc):
+    def from_dict(cls, doc, n_nodes):
+        """The NormStats of a `to_dict` record for fields of `n_nodes` nodes;
+        ValueError for any other record (an int past 2**1023 may not fit a float)."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"normalization record must be a mapping, got {doc!r}")
         mode = doc.get("mode")
         if mode not in NORM_MODES:
             raise ValueError(f"unknown normalization mode {mode!r}")
         if mode == "none":
             return cls(mode)
         for key in ("mean", "std"):
-            if key not in doc:
-                raise ValueError(f"{mode} normalization record lacks {key!r}")
-        mean, std = np.array(doc["mean"]), np.array(doc["std"])
+            if not (type(doc.get(key)) is list and len(doc[key]) == n_nodes and all(
+                    type(v) is float or type(v) is int and abs(v) < 2**1023 for v in doc[key])):
+                raise ValueError(f"{key} must be a list of {n_nodes} numbers, one per node")
+        mean, std = (np.array(doc[key], dtype=np.float64) for key in ("mean", "std"))
         # compute_norm_stats never writes these; a std of 0 would map every
         # prediction to the mean
         if not np.isfinite(mean).all():
@@ -462,9 +467,7 @@ class NormStats:
 
 
 def compute_norm_stats(fields, mode) -> NormStats:
-    """Fit normalization statistics on a (D, N) training field matrix."""
-    if mode not in NORM_MODES:
-        raise ValueError(f"unknown normalization mode {mode!r}")
+    """Fit `mode` (one of NORM_MODES) statistics on a (D, N) training field matrix."""
     a = np.asarray(fields, dtype=np.float64)
     if mode == "none":
         return NormStats("none")

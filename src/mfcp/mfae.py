@@ -19,7 +19,7 @@ from .data import NORM_MODES, NormStats, compute_norm_stats
 PHASE_PRETRAINED = "pretrained"
 PHASE_FINE_TUNED = "fine_tuned"
 
-BUNDLE_VERSION = 1
+BUNDLE_VERSION = 2
 
 # weights in one dense layer: 128 MiB of float64, held several times in training
 MAX_LAYER_WEIGHTS = 2**24
@@ -32,12 +32,11 @@ class MfaeConfig:
     encoder_widths: list
     latent_dim: int
     decoder_widths: list
-    upscaler_hidden: int = None  # None -> 1.5 * d_lf when an up-scaler is used
+    upscaler_hidden: int = 0  # 0 -> 1.5 * d_lf when an up-scaler is used
     force_adapter: bool = False
     seed: int = 0
     pretrain_epochs: int = 2000
     adam: nn.AdamConfig = field(default_factory=nn.AdamConfig)
-    activation: str = "relu"
     normalization: str = "per_node_standard"
 
     def __post_init__(self):
@@ -62,9 +61,9 @@ class MfaeConfig:
         return self.d_lf != self.d_hf or self.force_adapter
 
     def upscaler_width(self):
-        if self.upscaler_hidden is not None:
-            return self.upscaler_hidden
-        return int(round(1.5 * self.d_lf))
+        # round(1.5 * d_lf), half to even, in int arithmetic: no int d_lf overflows it
+        half, odd = divmod(3 * self.d_lf, 2)
+        return self.upscaler_hidden or half + (odd and half % 2)
 
 
 @dataclass
@@ -102,14 +101,10 @@ def pretrain(config, x_lf) -> MfaeModel:
     lf_stats = compute_norm_stats(fields, config.normalization)
     samples = lf_stats.apply(fields).T  # (N, d_lf)
 
-    encoder = nn.Mlp.from_widths(
-        config.d_lf, config.encoder_widths, config.latent_dim,
-        seed=[config.seed, 0], hidden_activation=config.activation,
-    )
-    decoder = nn.Mlp.from_widths(
-        config.latent_dim, config.decoder_widths, config.d_lf,
-        seed=[config.seed, 1], hidden_activation=config.activation,
-    )
+    encoder = nn.Mlp.from_widths(config.d_lf, config.encoder_widths, config.latent_dim,
+                                 seed=[config.seed, 0])
+    decoder = nn.Mlp.from_widths(config.latent_dim, config.decoder_widths, config.d_lf,
+                                 seed=[config.seed, 1])
     auto = nn.stack(encoder, decoder)
     result = nn.train(auto, samples, samples, epochs=config.pretrain_epochs, adam=config.adam)
     return MfaeModel(config=config, encoder=encoder, decoder=decoder,
@@ -144,10 +139,7 @@ def fine_tune(model, x_lf, y_hf, epochs, monitor=None, patience=100,
     if seed is None:
         seed = [cfg.seed, 2]
     if cfg.uses_upscaler:
-        model.upscaler = nn.Mlp.from_widths(
-            cfg.d_lf, [cfg.upscaler_width()], cfg.d_hf,
-            seed=seed, hidden_activation=cfg.activation,
-        )
+        model.upscaler = nn.Mlp.from_widths(cfg.d_lf, [cfg.upscaler_width()], cfg.d_hf, seed=seed)
     model.hf_stats = compute_norm_stats(y, cfg.normalization)
 
     # one tenth of the pretraining rate unless given explicitly
@@ -209,18 +201,14 @@ def save_model(model, out_dir, extra=None):
     meta.json (config, normalization stats, phase) into a directory.
     `extra` entries (e.g. training provenance) are merged into meta.json."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "encoder.json"), "w") as fh:
-        fh.write(nn.to_json(model.encoder))
-    with open(os.path.join(out_dir, "decoder.json"), "w") as fh:
-        fh.write(nn.to_json(model.decoder))
-    if model.upscaler is not None:
-        with open(os.path.join(out_dir, "upscaler.json"), "w") as fh:
-            fh.write(nn.to_json(model.upscaler))
-    cfg = asdict(model.config)  # nested AdamConfig becomes a dict
+    for name in ("encoder", "decoder", "upscaler"):
+        if getattr(model, name) is not None:
+            with open(os.path.join(out_dir, f"{name}.json"), "w") as fh:
+                fh.write(nn.to_json(getattr(model, name)))
     meta = {
         "format_version": BUNDLE_VERSION,
         "phase": model.phase,
-        "config": cfg,
+        "config": asdict(model.config),  # nested AdamConfig becomes a dict
         "lf_stats": model.lf_stats.to_dict() if model.lf_stats else None,
         "hf_stats": model.hf_stats.to_dict() if model.hf_stats else None,
     }
@@ -237,71 +225,75 @@ _JSON_TYPES = {int: ((int,), "an int"), float: ((int, float), "a number"), bool:
                str: ((str,), "a string"), list: ((list,), "a list of ints")}
 
 
-def _from_mapping(cls, doc, what):
+def _from_mapping(cls, doc, prefix=""):
     """`cls(**doc)` for a meta.json mapping with exactly the fields of dataclass
-    `cls`, each of its type or null if its default is; dataclass fields nest."""
+    `cls`, each of its type; dataclass fields nest, named by their path `prefix`."""
     if not isinstance(doc, dict):
-        raise ValueError(f"{what} must be a mapping, got {doc!r}")
+        raise ValueError(f"{prefix}must be a mapping, got {doc!r}")
     names = {f.name for f in fields(cls)}
     if set(doc) != names:
-        raise ValueError(f"{what}: unknown key(s) {sorted(set(doc) - names)}, "
+        raise ValueError(f"{prefix}unknown key(s) {sorted(set(doc) - names)}, "
                          f"missing key(s) {sorted(names - set(doc))}")
     values = dict(doc)
     for f in fields(cls):
         value = doc[f.name]
         if f.type not in _JSON_TYPES:
-            values[f.name] = _from_mapping(f.type, value, f"{what} {f.name}")
-        elif not (value is None and f.default is None):
-            types, rule = _JSON_TYPES[f.type]
-            if type(value) not in types or f.type is list and any(type(w) is not int for w in value):
-                raise ValueError(f"{what} {f.name} must be {rule}"
-                                 f"{' or null' if f.default is None else ''}, got {value!r}")
+            values[f.name] = _from_mapping(f.type, value, f"{prefix}{f.name} ")
+            continue
+        types, rule = _JSON_TYPES[f.type]
+        if type(value) not in types or f.type is list and any(type(w) is not int for w in value):
+            raise ValueError(f"{prefix}{f.name} must be {rule}, got {value!r}")
     return cls(**values)
 
 
-def _norm_stats(doc, n_nodes, what):
-    """NormStats of a meta.json entry (None for null), with one mean and std per node."""
-    if doc is None:
-        return None
-    if not isinstance(doc, dict):
-        raise ValueError(f"{what} must be null or a mapping, got {doc!r}")
-    for key in ("mean", "std"):
-        if key in doc and not (type(doc[key]) is list and len(doc[key]) == n_nodes
-                               and all(type(v) in (int, float) for v in doc[key])):
-            raise ValueError(f"{what} {key} must be a list of {n_nodes} numbers, one per node")
-    return NormStats.from_dict(doc)
+def _read(where, read, *args):
+    """`read(*args)`, with `where: ` in front of the message of a ValueError it raises."""
+    try:
+        return read(*args)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def load_model(out_dir) -> MfaeModel:
     """Read a bundle written by `save_model`. The meta.json entries that
     describe training rather than the model (the `extra` of save_model) are
-    kept as `model.provenance`."""
+    kept as `model.provenance`. A ValueError names the file and entry at fault."""
     meta_path = os.path.join(out_dir, "meta.json")
     with open(meta_path) as fh:
-        meta = json.load(fh)
+        meta = _read(meta_path, json.load, fh)
     if not isinstance(meta, dict) or not set(_META_KEYS) <= set(meta):
-        raise ValueError(f"{meta_path} must be a mapping with the keys {list(_META_KEYS)}")
+        raise ValueError(f"{meta_path}: must be a mapping with the keys {list(_META_KEYS)}")
     if meta["format_version"] != BUNDLE_VERSION:
-        raise ValueError(f"unsupported bundle version {meta['format_version']!r}")
-    config = _from_mapping(MfaeConfig, meta["config"], f"{meta_path} config")
+        raise ValueError(f"{meta_path} format_version: unsupported bundle version "
+                         f"{meta['format_version']!r}")
+    config = _read(f"{meta_path} config", _from_mapping, MfaeConfig, meta["config"])
     phase = meta["phase"]
     if phase not in (PHASE_PRETRAINED, PHASE_FINE_TUNED):
-        raise ValueError(f"{meta_path}: unknown phase {phase!r}")
+        raise ValueError(f"{meta_path} phase: unknown phase {phase!r}")
     fine_tuned = phase == PHASE_FINE_TUNED
-    lf_stats = _norm_stats(meta["lf_stats"], config.d_lf, f"{meta_path} lf_stats")
-    hf_stats = _norm_stats(meta["hf_stats"], config.d_hf, f"{meta_path} hf_stats")
-    if lf_stats is None or (hf_stats is not None) != fine_tuned:
-        raise ValueError(f"{meta_path}: a {phase} bundle must have lf_stats and "
-                         f"{'' if fine_tuned else 'no '}hf_stats")
+    if (meta["hf_stats"] is None) == fine_tuned:
+        raise ValueError(f"{meta_path} hf_stats: must {'not ' if fine_tuned else ''}be null "
+                         f"in a {phase} bundle")
+    lf_stats = _read(f"{meta_path} lf_stats", NormStats.from_dict, meta["lf_stats"], config.d_lf)
+    hf_stats = (_read(f"{meta_path} hf_stats", NormStats.from_dict, meta["hf_stats"], config.d_hf)
+                if fine_tuned else None)
+    for key in ("lf_train_names", "hf_train_names"):  # evaluate's leakage check reads them
+        if not (type(meta.get(key, [])) is list and all(type(n) is str for n in meta.get(key, []))):
+            raise ValueError(f"{meta_path} {key}: must be a list of snapshot names")
     upath = os.path.join(out_dir, "upscaler.json")
     want_upscaler = fine_tuned and config.uses_upscaler
     if os.path.exists(upath) != want_upscaler:
-        raise ValueError(f"{upath} must {'' if want_upscaler else 'not '}exist in a {phase} "
+        raise ValueError(f"{upath}: must {'' if want_upscaler else 'not '}exist in a {phase} "
                          f"bundle whose config has uses_upscaler = {config.uses_upscaler}")
 
     def read_net(name):
-        with open(os.path.join(out_dir, f"{name}.json")) as fh:
-            return nn.from_json(fh.read())
+        path = os.path.join(out_dir, f"{name}.json")
+        with open(path) as fh:
+            net = _read(path, nn.from_json, fh.read())
+        if not all(net.trainable):  # fine_tune trains every decoder and up-scaler layer
+            raise ValueError(f"{path}: trainable must be true for every layer, "
+                             f"got {json.dumps(net.trainable)}")
+        return net
 
     upscaler = read_net("upscaler") if want_upscaler else None
     return MfaeModel(config, read_net("encoder"), read_net("decoder"), upscaler, phase,

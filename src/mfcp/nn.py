@@ -85,15 +85,12 @@ class Mlp:
         return self.layers[0].n_in
 
     @classmethod
-    def from_widths(cls, n_in, hidden, n_out, seed, hidden_activation="relu"):
-        """Build [n_in -> hidden... -> n_out] with an identity output layer."""
+    def from_widths(cls, n_in, hidden, n_out, seed):
+        """Build [n_in -> hidden... -> n_out]: relu hidden layers, identity output."""
         rng = np.random.default_rng(seed)
-        dims = [n_in] + list(hidden) + [n_out]
-        layers = []
-        for i in range(len(dims) - 1):
-            act = hidden_activation if i < len(dims) - 2 else "identity"
-            layers.append(DenseLayer.init(dims[i], dims[i + 1], act, rng))
-        return cls(layers, seed=seed)
+        dims, acts = [n_in, *hidden, n_out], ["relu"] * len(hidden) + ["identity"]
+        return cls([DenseLayer.init(a, b, act, rng) for a, b, act in zip(dims, dims[1:], acts)],
+                   seed=seed)
 
 
 def stack(*nets, trainable=None):
@@ -362,11 +359,18 @@ def to_json(net):
 
 
 def from_json(text):
+    """The network of a `to_json` document; ValueError for a malformed one."""
+    keys = ["format_version", "seed", "trainable", "layers"]
     doc = json.loads(text)
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported model format {doc.get('format_version')!r}")
-    layers = [
-        DenseLayer(spec["weights"], spec["biases"], spec["activation"])
-        for spec in doc["layers"]
-    ]
+    if not isinstance(doc, dict) or not set(keys) <= set(doc):
+        raise ValueError(f"must be a mapping with the keys {keys}")
+    if doc["format_version"] != FORMAT_VERSION:
+        raise ValueError(f"unsupported model format {doc['format_version']!r}")
+    if type(doc["trainable"]) is not list or not all(type(t) is bool for t in doc["trainable"]):
+        raise ValueError(f"trainable must be a list of bools, got {doc['trainable']!r}")
+    try:
+        layers = [DenseLayer(s["weights"], s["biases"], s["activation"]) for s in doc["layers"]]
+    except (TypeError, KeyError, OverflowError):  # a layer, weight or bias of the wrong kind
+        raise ValueError("layers must be a list of mappings with the keys weights, biases and "
+                         "activation, and numbers for weights and biases") from None
     return Mlp(layers, trainable=doc["trainable"], seed=doc["seed"])

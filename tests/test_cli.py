@@ -452,14 +452,14 @@ def test_section_plot_is_well_formed_xml_for_any_name(tmp_path):
 def test_oversized_layer_exits_2(tmp_path, capsys, pipeline, key, value, layer):
     import shutil
     root, cfg, _ = pipeline
-    message = f"error: {layer}, more than MAX_LAYER_WEIGHTS = {mfae.MAX_LAYER_WEIGHTS}\n"
+    rule = f"{layer}, more than MAX_LAYER_WEIGHTS = {mfae.MAX_LAYER_WEIGHTS}\n"
     # from the config: pretrain stops before it writes anything
     big = parse_config(dump_config(cfg) + f"{key} = {str(value).strip('[]')}\n")
     big.out_dir = str(tmp_path / "big")
     (tmp_path / "big.txt").write_text(dump_config(big))
     capsys.readouterr()
     assert cli.main(["pretrain", "--config", str(tmp_path / "big.txt")]) == 2
-    assert capsys.readouterr().err == message
+    assert capsys.readouterr().err == f"error: {rule}"
     assert not os.path.exists(big.out_dir)
     # from a bundle's meta.json: calibrate stops when it loads the model
     edited = parse_config(dump_config(cfg))
@@ -471,14 +471,14 @@ def test_oversized_layer_exits_2(tmp_path, capsys, pipeline, key, value, layer):
     json.dump(meta, open(meta_path, "w"))
     (tmp_path / "edited.txt").write_text(dump_config(edited))
     assert cli.main(["calibrate", "--config", str(tmp_path / "edited.txt")]) == 2
-    assert capsys.readouterr().err == message
+    assert capsys.readouterr().err == f"error: {meta_path} config: {rule}"
 
 
 def run_on_edited_bundle(tmp_path, capsys, pipeline, bundle, edit):
     """Copy the pipeline's out/ tree, apply `edit(meta, bundle_dir)` to the
-    meta.json of `bundle` (a returned value replaces the document) and run the
-    stage that loads that bundle. Returns the exit code, stderr and the
-    bundle directory."""
+    meta.json of `bundle` (a returned value replaces the document, a returned
+    string its text) and run the stage that loads that bundle. Returns the
+    exit code, stderr and the bundle directory."""
     import shutil
     root, cfg, _ = pipeline
     edited = dataclasses.replace(cfg, out_dir=str(tmp_path / "edited"))
@@ -487,7 +487,8 @@ def run_on_edited_bundle(tmp_path, capsys, pipeline, bundle, edit):
     meta_path = os.path.join(bundle_dir, "meta.json")
     meta = json.loads(open(meta_path).read())
     doc = edit(meta, bundle_dir)
-    json.dump(meta if doc is None else doc, open(meta_path, "w"))
+    with open(meta_path, "w") as fh:
+        fh.write(doc if isinstance(doc, str) else json.dumps(meta if doc is None else doc))
     (tmp_path / "edited.txt").write_text(dump_config(edited))
     stage = "calibrate" if bundle == "model_pretrained" else "evaluate"
     capsys.readouterr()
@@ -508,33 +509,39 @@ META_KEYS = "['format_version', 'phase', 'config', 'lf_stats', 'hf_stats']"
 
 @pytest.mark.parametrize("edit, message", [
     (edit_config(bogus=1), "{meta} config: unknown key(s) ['bogus'], missing key(s) []"),
-    (edit_config(adam=5), "{meta} config adam must be a mapping, got 5"),
-    (lambda meta, _: meta["lf_stats"].update(mode="bogus"), "unknown normalization mode 'bogus'"),
-    (lambda meta, _: [1], "{meta} must be a mapping with the keys " + META_KEYS),
-    (edit_config(latent_dim="3"), "{meta} config latent_dim must be an int, got '3'"),
-    (edit_config(latent_dim=True), "{meta} config latent_dim must be an int, got True"),
-    (edit_config(encoder_widths="4"), "{meta} config encoder_widths must be a list of ints, got '4'"),
+    (edit_config(adam=5), "{meta} config: adam must be a mapping, got 5"),
+    (lambda meta, _: meta["lf_stats"].update(mode="bogus"),
+     "{meta} lf_stats: unknown normalization mode 'bogus'"),
+    (lambda meta, _: [1], "{meta}: must be a mapping with the keys " + META_KEYS),
+    (edit_config(latent_dim="3"), "{meta} config: latent_dim must be an int, got '3'"),
+    (edit_config(latent_dim=True), "{meta} config: latent_dim must be an int, got True"),
+    (edit_config(encoder_widths="4"),
+     "{meta} config: encoder_widths must be a list of ints, got '4'"),
     (edit_config(decoder_widths=[10.0]),
-     "{meta} config decoder_widths must be a list of ints, got [10.0]"),
-    (edit_config(upscaler_hidden="18"),
-     "{meta} config upscaler_hidden must be an int or null, got '18'"),
-    (edit_config(force_adapter=0), "{meta} config force_adapter must be a bool, got 0"),
-    (edit_config(activation=None), "{meta} config activation must be a string, got None"),
-    (edit_config(normalization=1), "{meta} config normalization must be a string, got 1"),
-    (edit_adam(lr="1"), "{meta} config adam lr must be a number, got '1'"),
-    (edit_adam(eps=False), "{meta} config adam eps must be a number, got False"),
-    (edit_adam(beta1=1.5), "adam beta1 must be >= 0 and < 1, got 1.5"),
-    (edit_adam(beta2=1000000), "adam beta2 must be >= 0 and < 1, got 1000000"),
-    (edit_adam(lr=float("nan")), "adam lr must be > 0, got nan"),
-    (edit_adam(eps=0), "adam eps must be > 0, got 0"),
-    (lambda meta, _: meta.update(lf_stats=5), "{meta} lf_stats must be null or a mapping, got 5"),
-    (lambda meta, _: meta.update(hf_stats=[]), "{meta} hf_stats must be null or a mapping, got []"),
+     "{meta} config: decoder_widths must be a list of ints, got [10.0]"),
+    (edit_config(upscaler_hidden="18"), "{meta} config: upscaler_hidden must be an int, got '18'"),
+    (edit_config(force_adapter=0), "{meta} config: force_adapter must be a bool, got 0"),
+    (lambda meta, _: meta.update(format_version=1),
+     "{meta} format_version: unsupported bundle version 1"),
+    (edit_config(normalization=1), "{meta} config: normalization must be a string, got 1"),
+    (edit_adam(lr="1"), "{meta} config: adam lr must be a number, got '1'"),
+    (edit_adam(eps=False), "{meta} config: adam eps must be a number, got False"),
+    (edit_adam(beta1=1.5), "{meta} config: adam beta1 must be >= 0 and < 1, got 1.5"),
+    (edit_adam(beta2=1000000), "{meta} config: adam beta2 must be >= 0 and < 1, got 1000000"),
+    (edit_adam(lr=float("nan")), "{meta} config: adam lr must be > 0, got nan"),
+    (edit_adam(eps=0), "{meta} config: adam eps must be > 0, got 0"),
+    (lambda meta, _: meta.update(lf_stats=5),
+     "{meta} lf_stats: normalization record must be a mapping, got 5"),
+    (lambda meta, _: meta.update(hf_stats=[]),
+     "{meta} hf_stats: must be null in a pretrained bundle"),
+    (edit_config(d_lf=10**400), f"{{meta}} config: a {10**400} x 10 layer has {10**401} weights, "
+                                f"more than MAX_LAYER_WEIGHTS = {mfae.MAX_LAYER_WEIGHTS}"),
 ], ids=["unknown-config-key", "adam-not-a-mapping", "unknown-norm-mode", "meta-not-a-mapping",
         "int-as-string", "int-as-bool", "widths-as-string", "widths-of-floats",
-        "upscaler-hidden-as-string", "force-adapter-as-int", "activation-null",
+        "upscaler-hidden-as-string", "force-adapter-as-int", "version-1-bundle",
         "normalization-as-int", "adam-lr-as-string", "adam-eps-as-bool", "adam-beta1-above-1",
         "adam-beta2-a-huge-int", "adam-lr-nan", "adam-eps-zero", "lf-stats-as-int",
-        "hf-stats-as-list"])
+        "hf-stats-as-list", "d-lf-past-the-float-range"])
 def test_malformed_bundle_meta_exits_2(tmp_path, capsys, pipeline, edit, message):
     code, err, bundle_dir = run_on_edited_bundle(tmp_path, capsys, pipeline,
                                                  "model_pretrained", edit)
@@ -554,54 +561,102 @@ def copy_upscaler(meta, bundle_dir):
     shutil.copy(final, os.path.join(bundle_dir, "upscaler.json"))
 
 
+def edit_net(name, change):
+    """An edit that rewrites network file `name` of the bundle as the JSON of
+    `change(doc)`, or of the document itself when that returns None."""
+    def edit(meta, bundle_dir):
+        path = os.path.join(bundle_dir, f"{name}.json")
+        doc = json.loads(open(path).read())
+        new = change(doc)
+        with open(path, "w") as fh:
+            json.dump(doc if new is None else new, fh)
+    return edit
+
+
+def write_text(name, text):
+    def edit(meta, bundle_dir):
+        with open(os.path.join(bundle_dir, name), "w") as fh:
+            fh.write(text)
+    return edit
+
+
 STD_RULE = ("per_node_standard normalization record needs a finite std >= STD_FLOOR = 1e-08 "
             "for every node")
+NET_KEYS = "['format_version', 'seed', 'trainable', 'layers']"
+LAYERS_RULE = ("layers must be a list of mappings with the keys weights, biases and activation, "
+               "and numbers for weights and biases")
 
 
 @pytest.mark.parametrize("bundle, edit, message", [
     ("model_pretrained", drop_lf_stats_key("mean"),
-     "per_node_standard normalization record lacks 'mean'"),
+     "{meta} lf_stats: mean must be a list of 12 numbers, one per node"),
     ("model_pretrained", drop_lf_stats_key("std"),
-     "per_node_standard normalization record lacks 'std'"),
+     "{meta} lf_stats: std must be a list of 12 numbers, one per node"),
     ("model_pretrained", lambda meta, _: meta["lf_stats"].update(mean=[0.0], std=[1.0]),
-     "{meta} lf_stats mean must be a list of 12 numbers, one per node"),
+     "{meta} lf_stats: mean must be a list of 12 numbers, one per node"),
     ("model_pretrained", lambda meta, _: meta["lf_stats"].update(std={}),
-     "{meta} lf_stats std must be a list of 12 numbers, one per node"),
+     "{meta} lf_stats: std must be a list of 12 numbers, one per node"),
     ("model_pretrained", lambda meta, _: meta["lf_stats"]["mean"].__setitem__(0, "0"),
-     "{meta} lf_stats mean must be a list of 12 numbers, one per node"),
+     "{meta} lf_stats: mean must be a list of 12 numbers, one per node"),
     ("model_final", lambda meta, _: meta["hf_stats"].update(mean=[0.0]),
-     "{meta} hf_stats mean must be a list of 24 numbers, one per node"),
-    ("model_final", lambda meta, _: meta["hf_stats"]["std"].__setitem__(0, 0.0), STD_RULE),
-    ("model_final", lambda meta, _: meta["hf_stats"]["std"].__setitem__(3, -1.0), STD_RULE),
-    ("model_final", lambda meta, _: meta["hf_stats"]["std"].__setitem__(5, 1e-9), STD_RULE),
+     "{meta} hf_stats: mean must be a list of 24 numbers, one per node"),
+    ("model_final", lambda meta, _: meta["hf_stats"]["std"].__setitem__(0, 0.0),
+     "{meta} hf_stats: " + STD_RULE),
+    ("model_final", lambda meta, _: meta["hf_stats"]["std"].__setitem__(3, -1.0),
+     "{meta} hf_stats: " + STD_RULE),
+    ("model_final", lambda meta, _: meta["hf_stats"]["std"].__setitem__(5, 1e-9),
+     "{meta} hf_stats: " + STD_RULE),
     ("model_pretrained", lambda meta, _: meta["lf_stats"]["std"].__setitem__(0, math.inf),
-     STD_RULE),
+     "{meta} lf_stats: " + STD_RULE),
     ("model_pretrained", lambda meta, _: meta["lf_stats"]["mean"].__setitem__(2, math.nan),
-     "per_node_standard normalization record needs a finite mean for every node"),
+     "{meta} lf_stats: per_node_standard normalization record needs a finite mean for every node"),
     ("model_pretrained", lambda meta, _: meta.update(phase="bogus"),
-     "{meta}: unknown phase 'bogus'"),
+     "{meta} phase: unknown phase 'bogus'"),
     ("model_final", lambda meta, _: meta.update(hf_stats=None),
-     "{meta}: a fine_tuned bundle must have lf_stats and hf_stats"),
+     "{meta} hf_stats: must not be null in a fine_tuned bundle"),
     ("model_pretrained", lambda meta, _: meta.update(hf_stats={"mode": "none"}),
-     "{meta}: a pretrained bundle must have lf_stats and no hf_stats"),
+     "{meta} hf_stats: must be null in a pretrained bundle"),
     ("model_pretrained", lambda meta, _: meta.update(lf_stats=None),
-     "{meta}: a pretrained bundle must have lf_stats and no hf_stats"),
+     "{meta} lf_stats: normalization record must be a mapping, got None"),
+    ("model_final", lambda meta, _: meta.update(hf_stats=[]),
+     "{meta} hf_stats: normalization record must be a mapping, got []"),
     ("model_final", lambda meta, bundle_dir: os.remove(os.path.join(bundle_dir, "upscaler.json")),
-     "{upscaler} must exist in a fine_tuned bundle whose config has uses_upscaler = True"),
+     "{upscaler}: must exist in a fine_tuned bundle whose config has uses_upscaler = True"),
     ("model_pretrained", copy_upscaler,
-     "{upscaler} must not exist in a pretrained bundle whose config has uses_upscaler = True"),
+     "{upscaler}: must not exist in a pretrained bundle whose config has uses_upscaler = True"),
+    ("model_pretrained", edit_net("encoder", lambda doc: [1]),
+     "{encoder}: must be a mapping with the keys " + NET_KEYS),
+    ("model_pretrained",
+     edit_net("encoder", lambda doc: {k: v for k, v in doc.items() if k != "trainable"}),
+     "{encoder}: must be a mapping with the keys " + NET_KEYS),
+    ("model_pretrained", edit_net("encoder", lambda doc: doc.update(trainable=5)),
+     "{encoder}: trainable must be a list of bools, got 5"),
+    ("model_pretrained", edit_net("decoder", lambda doc: doc.update(layers=[1])),
+     "{decoder}: " + LAYERS_RULE),
+    ("model_final", edit_net("upscaler", lambda doc: doc["layers"][0].update(biases={})),
+     "{upscaler}: " + LAYERS_RULE),
+    ("model_pretrained", edit_net("decoder", lambda doc: doc.update(trainable=[False, False])),
+     "{decoder}: trainable must be true for every layer, got [false, false]"),
+    ("model_final", write_text("encoder.json", "{"),
+     "{encoder}: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("model_pretrained", lambda meta, _: "",
+     "{meta}: Expecting value: line 1 column 1 (char 0)"),
+    ("model_final", lambda meta, _: meta.update(hf_train_names=5),
+     "{meta} hf_train_names: must be a list of snapshot names"),
 ], ids=["lf-stats-without-mean", "lf-stats-without-std", "lf-stats-of-one-node",
         "lf-stats-std-a-mapping", "lf-stats-mean-with-a-string", "hf-stats-mean-of-one-node",
         "hf-stats-std-zero", "hf-stats-std-negative", "hf-stats-std-below-the-floor",
         "lf-stats-std-infinite", "lf-stats-mean-nan", "unknown-phase", "fine-tuned-without-hf-stats",
-        "hf-stats-without-fine-tuning", "no-lf-stats", "fine-tuned-without-upscaler",
-        "pretrained-with-upscaler"])
+        "hf-stats-without-fine-tuning", "no-lf-stats", "hf-stats-as-list",
+        "fine-tuned-without-upscaler", "pretrained-with-upscaler", "network-not-a-mapping",
+        "network-without-trainable", "trainable-an-int", "layer-an-int", "biases-a-mapping",
+        "frozen-decoder", "network-not-json", "meta-not-json", "hf-train-names-an-int"])
 def test_inconsistent_bundle_exits_2(tmp_path, capsys, pipeline, bundle, edit, message):
     code, err, bundle_dir = run_on_edited_bundle(tmp_path, capsys, pipeline, bundle, edit)
     assert code == 2
-    assert err == "error: " + message.format(
-        meta=os.path.join(bundle_dir, "meta.json"),
-        upscaler=os.path.join(bundle_dir, "upscaler.json")) + "\n"
+    assert err == "error: " + message.format(**{
+        name: os.path.join(bundle_dir, f"{name}.json")
+        for name in ("meta", "encoder", "decoder", "upscaler")}) + "\n"
 
 
 @pytest.mark.parametrize("mode", ["global_minmax", "bogus"])
@@ -743,3 +798,66 @@ def test_fuzzed_recipe_exits_0_2_or_3(tmp_path_factory, recipe):
                          out_dir=str(root / "out"))
     (root / "fuzz_recipe.txt").write_text(dump_config(cfg))
     run_cli("degrade", "--config", str(root / "fuzz_recipe.txt"))
+
+
+def fuzz_bundles(tmp_path_factory):
+    """A pretrained and a fine-tuned bundle of tiny networks, made once per session."""
+    root = tmp_path_factory.getbasetemp() / "fuzz_bundles"
+    if not root.exists():
+        rng = np.random.default_rng(0)
+        x, y = rng.normal(size=(3, 8)), rng.normal(size=(4, 8))
+        config = mfae.MfaeConfig(d_lf=3, d_hf=4, encoder_widths=[2], latent_dim=1,
+                                 decoder_widths=[2], pretrain_epochs=1)
+        model = mfae.pretrain(config, x)
+        mfae.save_model(model, root / "pretrained", extra={"lf_train_names": ["a"]})
+        mfae.fine_tune(model, x, y, epochs=1)
+        mfae.save_model(model, root / "fine_tuned", extra={
+            "lf_train_names": ["a"], "hf_train_names": ["b"], "epochs_trained": 1})
+    return root
+
+
+def entry_paths(doc, depth=3):
+    """The key paths of a JSON document's entries down to `depth` levels; () is the document."""
+    paths = [()]
+    if depth and isinstance(doc, (dict, list)):
+        for key in (doc if isinstance(doc, dict) else range(len(doc))):
+            paths += [(key, *path) for path in entry_paths(doc[key], depth - 1)]
+    return paths
+
+
+DROP = object()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_bundle_loads_or_raises_value_error(tmp_path_factory, data):
+    """One entry of meta.json or of a network file replaced with random JSON, or
+    dropped: load_model loads the bundle or raises ValueError (the CLI's exit 2),
+    and a bundle that loads saves and loads again."""
+    import shutil
+    root = fuzz_bundles(tmp_path_factory)
+    work = root / "work"
+    shutil.rmtree(work, ignore_errors=True)
+    shutil.copytree(root / data.draw(st.sampled_from(["pretrained", "fine_tuned"])), work)
+    name = data.draw(st.sampled_from(sorted(os.listdir(work))))
+    doc = json.loads((work / name).read_text())
+    path = data.draw(st.sampled_from(entry_paths(doc)))
+    value = data.draw(st.one_of(st.just(DROP), JSON_VALUES) if path else JSON_VALUES)
+    if not path:
+        doc = value
+    else:
+        holder = doc
+        for key in path[:-1]:
+            holder = holder[key]
+        if value is DROP:
+            del holder[path[-1]]
+        else:
+            holder[path[-1]] = value
+    (work / name).write_text(json.dumps(doc))
+    try:
+        model = mfae.load_model(work)
+    except ValueError:
+        return
+    mfae.save_model(model, root / "resaved", extra=model.provenance)
+    mfae.load_model(root / "resaved")
+    shutil.rmtree(root / "resaved")

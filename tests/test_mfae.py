@@ -26,6 +26,8 @@ def test_config_invariants():
     assert small_config().uses_upscaler
     assert small_config(upscaler_hidden=40).upscaler_width() == 40
     assert small_config().upscaler_width() == 24  # 1.5 x d_lf
+    # rounded half to even, as round(1.5 * d_lf) does
+    assert [small_config(d_lf=d).upscaler_width() for d in (17, 19)] == [26, 28]
     with pytest.raises(ValueError):
         small_config(latent_dim=17)
     with pytest.raises(ValueError):
@@ -64,7 +66,6 @@ def test_pretrain_linear_autoassociator_near_zero_loss():
     cfg = mfae.MfaeConfig(
         d_lf=6, d_hf=6, encoder_widths=[], latent_dim=6, decoder_widths=[],
         seed=3, pretrain_epochs=3000, adam=nn.AdamConfig(lr=1e-2),
-        activation="identity",
     )
     model = mfae.pretrain(cfg, x)
     assert model.pretrain_losses[-1] <= 1e-6
@@ -123,8 +124,7 @@ def stacked_fine_tune(model, x_lf, y_hf, epochs, monitor=None, patience=100, ada
     cfg = model.config
     if cfg.uses_upscaler:
         model.upscaler = nn.Mlp.from_widths(cfg.d_lf, [cfg.upscaler_width()], cfg.d_hf,
-                                            seed=[cfg.seed, 2] if seed is None else seed,
-                                            hidden_activation=cfg.activation)
+                                            seed=[cfg.seed, 2] if seed is None else seed)
     model.hf_stats = compute_norm_stats(y_hf, cfg.normalization)
     adam = adam or dataclasses.replace(cfg.adam, lr=cfg.adam.lr / 10.0)
     parts = [p for p in (model.encoder, model.decoder, model.upscaler) if p is not None]
