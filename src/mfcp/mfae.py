@@ -9,6 +9,7 @@ dimensionality gap (and corrects fidelity bias even when dimensions match).
 import copy
 import json
 import os
+import tokenize
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -19,7 +20,7 @@ from .data import NORM_MODES, NormStats, compute_norm_stats
 PHASE_PRETRAINED = "pretrained"
 PHASE_FINE_TUNED = "fine_tuned"
 
-BUNDLE_VERSION = 2
+BUNDLE_VERSION = 3
 
 # weights in one dense layer: 128 MiB of float64, held several times in training
 MAX_LAYER_WEIGHTS = 2**24
@@ -197,14 +198,17 @@ def predict(model, x_lf):
 
 
 def save_model(model, out_dir, extra=None):
-    """Write encoder.json / decoder.json / upscaler.json (optional) plus
-    meta.json (config, normalization stats, phase) into a directory.
-    `extra` entries (e.g. training provenance) are merged into meta.json."""
+    """Write each network, encoder, decoder and upscaler (optional), as a
+    {name}.json header and a {name}.npy of its `nn.parameters`, plus meta.json
+    (config, normalization stats, phase) into a directory. `extra` entries
+    (e.g. training provenance) are merged into meta.json."""
     os.makedirs(out_dir, exist_ok=True)
     for name in ("encoder", "decoder", "upscaler"):
-        if getattr(model, name) is not None:
+        if (net := getattr(model, name)) is not None:
             with open(os.path.join(out_dir, f"{name}.json"), "w") as fh:
-                fh.write(nn.to_json(getattr(model, name)))
+                fh.write(nn.to_json(net))
+            with open(os.path.join(out_dir, f"{name}.npy"), "wb") as fh:
+                np.save(fh, nn.parameters(net.layers), allow_pickle=False)
     meta = {
         "format_version": BUNDLE_VERSION,
         "phase": model.phase,
@@ -254,6 +258,23 @@ def _read(where, read, *args):
         raise ValueError(f"{where}: {exc}") from None
 
 
+def _load_parameters(path):
+    """The 1-D, native float64, finite vector that is all of the .npy file `path`. Mapped, so
+    that a header claiming more data than the file holds fails before that much is allocated."""
+    try:  # np.load's .npy reader; it reads no pickle, and no zip archive as np.load would
+        mapped = np.lib.format.open_memmap(path, mode="r")
+    except (SyntaxError, TypeError, tokenize.TokenError) as exc:  # from a malformed header
+        raise ValueError(f"cannot parse the array header: {exc}") from None
+    if mapped.dtype != np.float64 or mapped.ndim != 1:
+        raise ValueError(f"must hold a 1-D float64 array, not {mapped.ndim}-D {mapped.dtype.str}")
+    if mapped.offset + mapped.nbytes != os.path.getsize(path):
+        raise ValueError("holds bytes after the array")
+    flat = np.array(mapped)
+    if not np.isfinite(flat).all():
+        raise ValueError("holds a non-finite parameter")
+    return flat
+
+
 def load_model(out_dir) -> MfaeModel:
     """Read a bundle written by `save_model`. The meta.json entries that
     describe training rather than the model (the `extra` of save_model) are
@@ -288,8 +309,9 @@ def load_model(out_dir) -> MfaeModel:
 
     def read_net(name):
         path = os.path.join(out_dir, f"{name}.json")
+        npy = os.path.join(out_dir, f"{name}.npy")
         with open(path) as fh:
-            net = _read(path, nn.from_json, fh.read())
+            net = _read(path, nn.from_json, fh.read(), _read(npy, _load_parameters, npy))
         if not all(net.trainable):  # fine_tune trains every decoder and up-scaler layer
             raise ValueError(f"{path}: trainable must be true for every layer, "
                              f"got {json.dumps(net.trainable)}")

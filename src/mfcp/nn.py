@@ -23,7 +23,7 @@ import numpy as np
 
 ACTIVATIONS = ("relu", "identity")
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class TrainingDiverged(RuntimeError):
@@ -175,20 +175,21 @@ def trainable_parameters(net):
     return params
 
 
-def _flatten_trainable(net):
-    """Copy the trainable parameters into one contiguous buffer, ordered as
-    `trainable_parameters`, and rebind each trainable layer's weights and
-    biases as views into it. Returns the buffer.
-    """
-    params = trainable_parameters(net)
-    flat = np.concatenate([p.ravel() for p in params])
-    offset = 0
-    for layer, flag in zip(net.layers, net.trainable):
-        if flag:
-            for name in ("weights", "biases"):
-                a = getattr(layer, name)
-                setattr(layer, name, flat[offset:offset + a.size].reshape(a.shape))
-                offset += a.size
+def parameters(layers):
+    """The parameters of `layers` in one new vector: each layer's weights, row
+    major, then its biases. `train` trains in this layout and bundles store it."""
+    return np.concatenate([a.ravel() for layer in layers for a in (layer.weights, layer.biases)])
+
+
+def _bind(layers, flat):
+    """Rebind each layer's weights and biases as views into `flat`, laid out as
+    `parameters`. Returns `flat`."""
+    start = 0
+    for layer in layers:
+        for name in ("weights", "biases"):
+            a = getattr(layer, name)
+            setattr(layer, name, flat[start:start + a.size].reshape(a.shape))
+            start += a.size
     return flat
 
 
@@ -216,14 +217,18 @@ class AdamConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        # `not` so that NaN fails; an infinite lr or eps stays legal
-        if not self.lr > 0:
-            raise ValueError(f"adam lr must be > 0, got {self.lr!r}")
+        # `not` so that NaN fails; inf stays legal, but not an int too large for a float
+        for name in ("lr", "eps"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"adam {name} must be > 0, got {value!r}")
+            try:
+                float(value)
+            except OverflowError:
+                raise ValueError(f"adam {name} must fit in a float, got {value!r}") from None
         for name in ("beta1", "beta2"):
             if not 0 <= getattr(self, name) < 1:
                 raise ValueError(f"adam {name} must be >= 0 and < 1, got {getattr(self, name)!r}")
-        if not self.eps > 0:
-            raise ValueError(f"adam eps must be > 0, got {self.eps!r}")
 
 
 class AdamState:
@@ -296,7 +301,8 @@ def train(net, inputs, targets, epochs, adam=None, monitor=None, patience=100):
     y = np.asarray(targets, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ValueError("inputs/targets must be (n, d_in)/(n, d_out) with equal n")
-    flat = _flatten_trainable(net)
+    trained = [layer for layer, flag in zip(net.layers, net.trainable) if flag]
+    flat = _bind(trained, parameters(trained))
     gflat = np.empty_like(flat)
     state = AdamState([flat], adam)
 
@@ -339,27 +345,19 @@ def train(net, inputs, targets, epochs, adam=None, monitor=None, patience=100):
 
 
 def to_json(net):
-    """Serialize a network to a self-describing JSON string (lossless)."""
-    doc = {
+    """The JSON header of a network: everything but its `parameters`."""
+    return json.dumps({
         "format_version": FORMAT_VERSION,
         "seed": net.seed,
         "trainable": list(net.trainable),
-        "layers": [
-            {
-                "in": layer.n_in,
-                "out": layer.n_out,
-                "activation": layer.activation,
-                "weights": layer.weights.tolist(),
-                "biases": layer.biases.tolist(),
-            }
-            for layer in net.layers
-        ],
-    }
-    return json.dumps(doc)
+        "layers": [{"in": layer.n_in, "out": layer.n_out, "activation": layer.activation}
+                   for layer in net.layers],
+    })
 
 
-def from_json(text):
-    """The network of a `to_json` document; ValueError for a malformed one."""
+def from_json(text, flat):
+    """The network of a `to_json` header and its `parameters` vector `flat`, each layer's
+    arrays views into `flat`; ValueError for a malformed header or a `flat` of another size."""
     keys = ["format_version", "seed", "trainable", "layers"]
     doc = json.loads(text)
     if not isinstance(doc, dict) or not set(keys) <= set(doc):
@@ -368,9 +366,16 @@ def from_json(text):
         raise ValueError(f"unsupported model format {doc['format_version']!r}")
     if type(doc["trainable"]) is not list or not all(type(t) is bool for t in doc["trainable"]):
         raise ValueError(f"trainable must be a list of bools, got {doc['trainable']!r}")
-    try:
-        layers = [DenseLayer(s["weights"], s["biases"], s["activation"]) for s in doc["layers"]]
-    except (TypeError, KeyError, OverflowError):  # a layer, weight or bias of the wrong kind
-        raise ValueError("layers must be a list of mappings with the keys weights, biases and "
-                         "activation, and numbers for weights and biases") from None
+    specs = doc["layers"]
+    if type(specs) is not list or not all(
+            isinstance(s, dict) and {"in", "out", "activation"} <= set(s)
+            and all(type(s[k]) is int and s[k] >= 1 for k in ("in", "out")) for s in specs):
+        raise ValueError("layers must be a list of mappings with the keys in, out and activation, "
+                         "and ints >= 1 for in and out")
+    size = sum(s["in"] * s["out"] + s["out"] for s in specs)
+    if flat.size != size:  # checked first: the layers below are allocated to their sizes
+        raise ValueError(f"the layers hold {size} parameters, the parameter vector {flat.size}")
+    layers = [DenseLayer(np.empty((s["out"], s["in"])), np.empty(s["out"]), s["activation"])
+              for s in specs]
+    _bind(layers, flat)
     return Mlp(layers, trainable=doc["trainable"], seed=doc["seed"])

@@ -432,7 +432,8 @@ def test_a11_determinism_and_round_trips(tmp_path):
     bundle1 = out1 / "model_final"
     model = mfae.load_model(bundle1)
     mfae.save_model(model, tmp_path / "bundle2")
-    for name in ("encoder.json", "decoder.json", "upscaler.json"):
+    for name in ("encoder.json", "decoder.json", "upscaler.json", "encoder.npy", "decoder.npy",
+                 "upscaler.npy"):
         assert file_digest(bundle1 / name) == file_digest(tmp_path / "bundle2" / name)
     again = mfae.load_model(tmp_path / "bundle2")
     lf = load_csv(out1 / "lf.csv")

@@ -216,7 +216,7 @@ def test_pretrain_seed_repeat_identical(pipeline, tmp_path):
     rerun = dataclasses.replace(cfg, out_dir=str(tmp_path / "re"))
     (tmp_path / "re.txt").write_text(dump_config(rerun))
     assert cli.main(["pretrain", "--config", str(tmp_path / "re.txt")]) == 0
-    for name in ("encoder.json", "decoder.json"):
+    for name in ("encoder.json", "encoder.npy", "decoder.json", "decoder.npy"):
         assert file_digest(tmp_path / "re" / "model_pretrained" / name) == \
             file_digest(root / "out" / "model_pretrained" / name)
 
@@ -269,9 +269,10 @@ def test_finetune_history_matches_estar(pipeline):
 
 def test_finetune_keeps_encoder_bit_identical(pipeline):
     root, _, _ = pipeline
-    pre = root / "out" / "model_pretrained" / "encoder.json"
-    fin = root / "out" / "model_final" / "encoder.json"
-    assert file_digest(pre) == file_digest(fin)
+    for name in ("encoder.json", "encoder.npy"):
+        pre = root / "out" / "model_pretrained" / name
+        fin = root / "out" / "model_final" / name
+        assert file_digest(pre) == file_digest(fin)
 
 
 def test_finetune_estar_zero_keeps_pretrained_decoder(tmp_path, pipeline):
@@ -288,9 +289,11 @@ def test_finetune_estar_zero_keeps_pretrained_decoder(tmp_path, pipeline):
     p.write_text(dump_config(zero))
     assert cli.main(["finetune", "--config", str(p)]) == 0
     final = os.path.join(zero.out_dir, "model_final")
-    assert file_digest(os.path.join(final, "decoder.json")) == \
-        file_digest(str(root / "out" / "model_pretrained" / "decoder.json"))
+    for name in ("decoder.json", "decoder.npy"):
+        assert file_digest(os.path.join(final, name)) == \
+            file_digest(str(root / "out" / "model_pretrained" / name))
     assert os.path.exists(os.path.join(final, "upscaler.json"))
+    assert os.path.exists(os.path.join(final, "upscaler.npy"))
     meta = json.loads(open(os.path.join(final, "meta.json")).read())
     assert meta["epochs_trained"] == 0
 
@@ -530,6 +533,7 @@ META_KEYS = "['format_version', 'phase', 'config', 'lf_stats', 'hf_stats']"
     (edit_adam(beta2=1000000), "{meta} config: adam beta2 must be >= 0 and < 1, got 1000000"),
     (edit_adam(lr=float("nan")), "{meta} config: adam lr must be > 0, got nan"),
     (edit_adam(eps=0), "{meta} config: adam eps must be > 0, got 0"),
+    (edit_adam(lr=10**400), f"{{meta}} config: adam lr must fit in a float, got {10**400}"),
     (lambda meta, _: meta.update(lf_stats=5),
      "{meta} lf_stats: normalization record must be a mapping, got 5"),
     (lambda meta, _: meta.update(hf_stats=[]),
@@ -540,8 +544,8 @@ META_KEYS = "['format_version', 'phase', 'config', 'lf_stats', 'hf_stats']"
         "int-as-string", "int-as-bool", "widths-as-string", "widths-of-floats",
         "upscaler-hidden-as-string", "force-adapter-as-int", "version-1-bundle",
         "normalization-as-int", "adam-lr-as-string", "adam-eps-as-bool", "adam-beta1-above-1",
-        "adam-beta2-a-huge-int", "adam-lr-nan", "adam-eps-zero", "lf-stats-as-int",
-        "hf-stats-as-list", "d-lf-past-the-float-range"])
+        "adam-beta2-a-huge-int", "adam-lr-nan", "adam-eps-zero", "adam-lr-a-huge-int",
+        "lf-stats-as-int", "hf-stats-as-list", "d-lf-past-the-float-range"])
 def test_malformed_bundle_meta_exits_2(tmp_path, capsys, pipeline, edit, message):
     code, err, bundle_dir = run_on_edited_bundle(tmp_path, capsys, pipeline,
                                                  "model_pretrained", edit)
@@ -557,8 +561,9 @@ def drop_lf_stats_key(key):
 
 def copy_upscaler(meta, bundle_dir):
     import shutil
-    final = os.path.join(os.path.dirname(bundle_dir), "model_final", "upscaler.json")
-    shutil.copy(final, os.path.join(bundle_dir, "upscaler.json"))
+    for name in ("upscaler.json", "upscaler.npy"):
+        shutil.copy(os.path.join(os.path.dirname(bundle_dir), "model_final", name),
+                    os.path.join(bundle_dir, name))
 
 
 def edit_net(name, change):
@@ -573,6 +578,33 @@ def edit_net(name, change):
     return edit
 
 
+def edit_npy(name, change):
+    """An edit that rewrites the parameter vector of network `name` as the
+    .npy of the array `change(flat)` returns, or with the bytes it returns."""
+    def edit(meta, bundle_dir):
+        path = os.path.join(bundle_dir, f"{name}.npy")
+        new = change(np.load(path))
+        if isinstance(new, bytes):
+            with open(path, "wb") as fh:
+                fh.write(new)
+        else:
+            np.save(path, new)
+    return edit
+
+
+def npy_bytes(a):
+    buf = io.BytesIO()
+    np.save(buf, a)
+    return buf.getvalue()
+
+
+def set_item(index, value):
+    def change(flat):
+        flat[index] = value
+        return flat
+    return change
+
+
 def write_text(name, text):
     def edit(meta, bundle_dir):
         with open(os.path.join(bundle_dir, name), "w") as fh:
@@ -583,8 +615,9 @@ def write_text(name, text):
 STD_RULE = ("per_node_standard normalization record needs a finite std >= STD_FLOOR = 1e-08 "
             "for every node")
 NET_KEYS = "['format_version', 'seed', 'trainable', 'layers']"
-LAYERS_RULE = ("layers must be a list of mappings with the keys weights, biases and activation, "
-               "and numbers for weights and biases")
+LAYERS_RULE = ("layers must be a list of mappings with the keys in, out and activation, "
+               "and ints >= 1 for in and out")
+NPY_RULE = "must hold a 1-D float64 array, not "
 
 
 @pytest.mark.parametrize("bundle, edit, message", [
@@ -633,10 +666,43 @@ LAYERS_RULE = ("layers must be a list of mappings with the keys weights, biases 
      "{encoder}: trainable must be a list of bools, got 5"),
     ("model_pretrained", edit_net("decoder", lambda doc: doc.update(layers=[1])),
      "{decoder}: " + LAYERS_RULE),
-    ("model_final", edit_net("upscaler", lambda doc: doc["layers"][0].update(biases={})),
+    ("model_final", edit_net("upscaler", lambda doc: doc["layers"][0].update({"in": {}})),
      "{upscaler}: " + LAYERS_RULE),
+    ("model_final", edit_net("upscaler", lambda doc: doc["layers"][1].update(out=0)),
+     "{upscaler}: " + LAYERS_RULE),
+    ("model_pretrained", edit_net("encoder", lambda doc: doc["layers"][0].update(out=11)),
+     "{encoder}: the layers hold 176 parameters, the parameter vector 163"),
     ("model_pretrained", edit_net("decoder", lambda doc: doc.update(trainable=[False, False])),
      "{decoder}: trainable must be true for every layer, got [false, false]"),
+    ("model_final", edit_npy("encoder", set_item(7, math.nan)),
+     "{encoder_npy}: holds a non-finite parameter"),
+    ("model_pretrained", edit_npy("decoder", set_item(-1, math.inf)),
+     "{decoder_npy}: holds a non-finite parameter"),
+    ("model_pretrained", edit_npy("decoder", lambda flat: flat.astype(np.float32)),
+     "{decoder_npy}: " + NPY_RULE + "1-D <f4"),
+    ("model_pretrained", edit_npy("decoder", lambda flat: flat.astype(">f8")),
+     "{decoder_npy}: " + NPY_RULE + "1-D >f8"),
+    ("model_pretrained", edit_npy("decoder", lambda flat: flat.reshape(1, -1)),
+     "{decoder_npy}: " + NPY_RULE + "2-D <f8"),
+    ("model_final", edit_npy("upscaler", lambda flat: flat.round().astype(np.int64)),
+     "{upscaler_npy}: " + NPY_RULE + "1-D <i8"),
+    ("model_final", edit_npy("upscaler", lambda flat: np.concatenate([flat, [0.0]])),
+     "{upscaler}: the layers hold 690 parameters, the parameter vector 691"),
+    ("model_pretrained", edit_npy("encoder", lambda flat: npy_bytes(flat) + b"\0"),
+     "{encoder_npy}: holds bytes after the array"),
+    ("model_pretrained", edit_npy("encoder", lambda flat: npy_bytes(flat)[:-8]),
+     "{encoder_npy}: mmap length is greater than file size"),
+    # NumPy's header parser raises TokenError and TypeError for these two
+    ("model_pretrained", edit_npy("encoder", lambda flat: npy_bytes(flat).replace(b"(", b"\0", 1)),
+     "{encoder_npy}: cannot parse the array header: ('EOF in multi-line statement', (2, 0))"),
+    ("model_pretrained",
+     edit_npy("encoder", lambda flat: npy_bytes(flat).replace(b", 'fortran", b",b'fortran", 1)),
+     "{encoder_npy}: cannot parse the array header: "
+     "'<' not supported between instances of 'bytes' and 'str'"),
+    ("model_final", edit_npy("decoder", lambda flat: b""),
+     "{decoder_npy}: EOF: reading magic string, expected 8 bytes got 0"),
+    ("model_final", lambda meta, bundle_dir: os.remove(os.path.join(bundle_dir, "decoder.npy")),
+     "[Errno 2] No such file or directory: {decoder_npy!r}"),
     ("model_final", write_text("encoder.json", "{"),
      "{encoder}: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
     ("model_pretrained", lambda meta, _: "",
@@ -649,14 +715,20 @@ LAYERS_RULE = ("layers must be a list of mappings with the keys weights, biases 
         "lf-stats-std-infinite", "lf-stats-mean-nan", "unknown-phase", "fine-tuned-without-hf-stats",
         "hf-stats-without-fine-tuning", "no-lf-stats", "hf-stats-as-list",
         "fine-tuned-without-upscaler", "pretrained-with-upscaler", "network-not-a-mapping",
-        "network-without-trainable", "trainable-an-int", "layer-an-int", "biases-a-mapping",
-        "frozen-decoder", "network-not-json", "meta-not-json", "hf-train-names-an-int"])
+        "network-without-trainable", "trainable-an-int", "layer-an-int", "layer-in-a-mapping",
+        "layer-out-zero", "layers-and-vector-of-other-sizes", "frozen-decoder", "encoder-npy-nan",
+        "decoder-npy-inf", "npy-float32", "npy-big-endian", "npy-2-d", "npy-int64",
+        "npy-one-value-too-many", "npy-trailing-bytes", "npy-truncated", "npy-header-with-a-null",
+        "npy-header-with-a-bytes-key", "npy-empty", "npy-missing",
+        "network-not-json", "meta-not-json", "hf-train-names-an-int"])
 def test_inconsistent_bundle_exits_2(tmp_path, capsys, pipeline, bundle, edit, message):
     code, err, bundle_dir = run_on_edited_bundle(tmp_path, capsys, pipeline, bundle, edit)
     assert code == 2
-    assert err == "error: " + message.format(**{
-        name: os.path.join(bundle_dir, f"{name}.json")
-        for name in ("meta", "encoder", "decoder", "upscaler")}) + "\n"
+    paths = {name: os.path.join(bundle_dir, f"{name}.json")
+             for name in ("meta", "encoder", "decoder", "upscaler")}
+    paths.update({f"{name}_npy": os.path.join(bundle_dir, f"{name}.npy")
+                  for name in ("encoder", "decoder", "upscaler")})
+    assert err == "error: " + message.format(**paths) + "\n"
 
 
 @pytest.mark.parametrize("mode", ["global_minmax", "bogus"])
@@ -691,12 +763,18 @@ def tree_digests(out):
             for n in names}
 
 
-def test_stages_over_a_hot_cache_write_the_bytes_of_a_cold_run(tmp_path, monkeypatch):
-    save_csv(make_pressure_set(60, 24, seed=1), tmp_path / "hf.csv")
+def chain_inputs(root):
+    """The chain's HF set, recipe and config.txt under `root`; the config's path."""
+    save_csv(make_pressure_set(60, 24, seed=1), root / "hf.csv")
     recipe = DegradationRecipe([PodTruncate(energy=0.9), Fps(m=12, seed=11)])
-    (tmp_path / "recipe.json").write_text(recipe.to_json())
-    cfg_path = tmp_path / "config.txt"
-    cfg_path.write_text(dump_config(chain_config(tmp_path)))
+    (root / "recipe.json").write_text(recipe.to_json())
+    cfg_path = root / "config.txt"
+    cfg_path.write_text(dump_config(chain_config(root)))
+    return cfg_path
+
+
+def test_stages_over_a_hot_cache_write_the_bytes_of_a_cold_run(tmp_path, monkeypatch):
+    cfg_path = chain_inputs(tmp_path)
     run_chain(tmp_path, cfg_path)  # from an empty out/: degrade and pretrain fill the cache
     cold = tree_digests(tmp_path / "out")
     assert "report.json" in cold and len(cold) > 10
@@ -708,6 +786,18 @@ def test_stages_over_a_hot_cache_write_the_bytes_of_a_cold_run(tmp_path, monkeyp
     monkeypatch.setattr(data, "_parse_csv", no_parse)
     run_chain(tmp_path, cfg_path)
     assert tree_digests(tmp_path / "out") == cold
+
+
+def test_stages_rerun_out_of_order_over_one_out_dir_keep_its_bytes(tmp_path):
+    """The benchmark re-runs single stages over the out/ of its first chain, in
+    an order its timings set: every stage passes and leaves every byte as it was."""
+    cfg_path = chain_inputs(tmp_path)
+    run_chain(tmp_path, cfg_path)
+    first = tree_digests(tmp_path / "out")
+    for cmd in ("evaluate", "pretrain", "evaluate", "degrade", "finetune", "calibrate",
+                "finetune", "evaluate"):
+        assert cli.main([cmd, "--config", str(cfg_path)]) == 0, f"{cmd} failed"
+    assert tree_digests(tmp_path / "out") == first
 
 
 # --- fuzzed config documents and recipes ------------------------------------------
@@ -831,15 +921,11 @@ DROP = object()
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_fuzzed_bundle_loads_or_raises_value_error(tmp_path_factory, data):
-    """One entry of meta.json or of a network file replaced with random JSON, or
-    dropped: load_model loads the bundle or raises ValueError (the CLI's exit 2),
-    and a bundle that loads saves and loads again."""
-    import shutil
-    root = fuzz_bundles(tmp_path_factory)
-    work = root / "work"
-    shutil.rmtree(work, ignore_errors=True)
-    shutil.copytree(root / data.draw(st.sampled_from(["pretrained", "fine_tuned"])), work)
-    name = data.draw(st.sampled_from(sorted(os.listdir(work))))
+    """One entry of meta.json or of a network header replaced with random JSON,
+    or dropped: load_model loads the bundle or raises ValueError (the CLI's exit
+    2), and a bundle that loads saves and loads again."""
+    root, work = fuzz_work_bundle(tmp_path_factory, data)
+    name = data.draw(st.sampled_from(sorted(n for n in os.listdir(work) if n.endswith(".json"))))
     doc = json.loads((work / name).read_text())
     path = data.draw(st.sampled_from(entry_paths(doc)))
     value = data.draw(st.one_of(st.just(DROP), JSON_VALUES) if path else JSON_VALUES)
@@ -854,6 +940,23 @@ def test_fuzzed_bundle_loads_or_raises_value_error(tmp_path_factory, data):
         else:
             holder[path[-1]] = value
     (work / name).write_text(json.dumps(doc))
+    load_resave_load(root, work)
+
+
+def fuzz_work_bundle(tmp_path_factory, data):
+    """The fuzz root and a fresh copy, work/, of one of its bundles."""
+    import shutil
+    root = fuzz_bundles(tmp_path_factory)
+    work = root / "work"
+    shutil.rmtree(work, ignore_errors=True)
+    shutil.copytree(root / data.draw(st.sampled_from(["pretrained", "fine_tuned"])), work)
+    return root, work
+
+
+def load_resave_load(root, work):
+    """load_model loads `work` or raises ValueError (the CLI's exit 2); a bundle
+    that loads saves and loads again."""
+    import shutil
     try:
         model = mfae.load_model(work)
     except ValueError:
@@ -861,3 +964,33 @@ def test_fuzzed_bundle_loads_or_raises_value_error(tmp_path_factory, data):
     mfae.save_model(model, root / "resaved", extra=model.provenance)
     mfae.load_model(root / "resaved")
     shutil.rmtree(root / "resaved")
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_parameter_vector_loads_or_raises_value_error(tmp_path_factory, data):
+    """A network's .npy cut short, with a byte flipped, bytes appended or
+    written over, or saved again as another dtype, shape or byte order: the
+    bundle loads or raises ValueError, never EOFError, TypeError or OSError."""
+    root, work = fuzz_work_bundle(tmp_path_factory, data)
+    path = work / data.draw(st.sampled_from(sorted(n for n in os.listdir(work)
+                                                   if n.endswith(".npy"))))
+    raw = path.read_bytes()
+    at = data.draw(st.integers(0, len(raw) - 1))
+    flat = np.load(path)
+    kind = data.draw(st.sampled_from(["truncate", "flip", "append", "overwrite", "resave"]))
+    if kind == "truncate":
+        raw = raw[:at]
+    elif kind == "flip":
+        raw = raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255))]) + raw[at + 1:]
+    elif kind == "append":
+        raw += data.draw(st.binary(min_size=1, max_size=16))
+    elif kind == "overwrite":
+        junk = data.draw(st.binary(min_size=1, max_size=16))
+        raw = raw[:at] + junk + raw[at + len(junk):]
+    else:
+        raw = npy_bytes(data.draw(st.sampled_from([
+            flat.astype(np.float32), flat.reshape(1, -1), flat.astype(">f8"),
+            np.array(list(flat), dtype=object)])))
+    path.write_bytes(raw)
+    load_resave_load(root, work)

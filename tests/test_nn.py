@@ -227,6 +227,8 @@ def test_adam_config_range_rules():
         (dict(beta2=1000000), "adam beta2 must be >= 0 and < 1, got 1000000"),
         (dict(beta2=float("nan")), "adam beta2 must be >= 0 and < 1, got nan"),
         (dict(eps=0.0), "adam eps must be > 0, got 0.0"),
+        (dict(lr=10**400), f"adam lr must fit in a float, got {10**400}"),
+        (dict(eps=10**400), f"adam eps must fit in a float, got {10**400}"),
     ]:
         with pytest.raises(ValueError) as err:
             nn.AdamConfig(**bad)
@@ -402,7 +404,12 @@ def test_train_refuses_an_all_frozen_net():
 def test_json_round_trip_lossless():
     net = nn.Mlp.from_widths(3, [5], 2, seed=19)
     net.trainable = [True, False]
-    clone = nn.from_json(nn.to_json(net))
+    flat = nn.parameters(net.layers)
+    assert np.array_equal(flat, np.concatenate([p.ravel() for p in nn.trainable_parameters(
+        nn.Mlp(net.layers))]))  # the order train lays its buffer out in
+    assert "weights" not in nn.to_json(net)
+    clone = nn.from_json(nn.to_json(net), flat)
+    assert all(layer.weights.base is flat and layer.biases.base is flat for layer in clone.layers)
     assert clone.trainable == net.trainable
     assert clone.seed == net.seed
     for a, b in zip(net.layers, clone.layers):
