@@ -52,7 +52,7 @@ def critical_quantile(score_values, delta):
     the requested significance; add samples or raise delta).
     """
     if not 0.0 < delta < 1.0:
-        raise ValueError("delta must be in (0, 1)")
+        raise ValueError(f"delta must be in (0, 1), got {delta!r}")
     sv = np.sort(np.asarray(score_values, dtype=np.float64))
     n = sv.size
     if n < 1:
@@ -135,6 +135,10 @@ def multi_split_calibrate(x_lf, y_hf, pretrained, n_splits, cal_fraction, delta,
         raise ValueError("need at least one split")
     if not 0.0 < cal_fraction < 1.0:
         raise ValueError("cal_fraction must be in (0, 1)")
+    if kind not in SCORE_KINDS:
+        raise ValueError(f"unknown score kind {kind!r}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must be in (0, 1), got {delta!r}")
     n_cal = min(max(int(math.floor(cal_fraction * n + 0.5)), 1), n - 1)
     # fail before any training if the calibration size cannot support delta
     if math.ceil((n_cal + 1) * (1.0 - delta)) > n_cal:
@@ -156,16 +160,12 @@ def multi_split_calibrate(x_lf, y_hf, pretrained, n_splits, cal_fraction, delta,
             )
         except nn.TrainingDiverged as exc:
             raise nn.TrainingDiverged(exc.epoch, f"split {b} diverged") from exc
+        # not calibrate(): perfbench times a split up to a critical_quantile called here
         residuals = (y[:, cal_idx] - mfae.predict(model, x[:, cal_idx])).T
         s = modulation(residuals)
         k_s = critical_quantile(scores(residuals, s, kind), delta)
-        return SplitRecord(
-            train_idx=[int(i) for i in train_idx],
-            cal_idx=[int(i) for i in cal_idx],
-            critical_quantile=k_s,
-            epoch=int(result.best_epoch),
-            radius=k_s * s,
-        )
+        return SplitRecord(train_idx=train_idx.tolist(), cal_idx=cal_idx.tolist(),
+                           critical_quantile=k_s, epoch=int(result.best_epoch), radius=k_s * s)
 
     records = [run_split(b) for b in range(n_splits)]
     return MultiSplitCalibration(

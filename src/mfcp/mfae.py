@@ -20,7 +20,9 @@ from .data import NORM_MODES, NormStats, compute_norm_stats
 PHASE_PRETRAINED = "pretrained"
 PHASE_FINE_TUNED = "fine_tuned"
 
-BUNDLE_VERSION = 3
+BUNDLE_VERSION = 4
+
+NETWORKS = ("encoder", "decoder", "upscaler")
 
 # weights in one dense layer: 128 MiB of float64, held several times in training
 MAX_LAYER_WEIGHTS = 2**24
@@ -47,11 +49,8 @@ class MfaeConfig:
             raise ValueError("latent_dim must be in 1..d_lf")
         if any(w <= 0 for w in [*self.encoder_widths, *self.decoder_widths, self.upscaler_width()]):
             raise ValueError("widths must be strictly positive")
-        nets = [[self.d_lf, *self.encoder_widths, self.latent_dim],
-                [self.latent_dim, *self.decoder_widths, self.d_lf]]
-        if self.uses_upscaler:
-            nets.append([self.d_lf, self.upscaler_width(), self.d_hf])
-        for dims in nets:
+        for name in NETWORKS[:3 if self.uses_upscaler else 2]:
+            dims = self.dims(name)
             for n_in, n_out in zip(dims, dims[1:]):
                 if n_in * n_out > MAX_LAYER_WEIGHTS:
                     raise ValueError(f"a {n_in} x {n_out} layer has {n_in * n_out} weights, "
@@ -60,6 +59,12 @@ class MfaeConfig:
     @property
     def uses_upscaler(self):
         return self.d_lf != self.d_hf or self.force_adapter
+
+    def dims(self, name):
+        """The widths [n_in, ..., n_out] of network `name`, one of NETWORKS."""
+        return {"encoder": [self.d_lf, *self.encoder_widths, self.latent_dim],
+                "decoder": [self.latent_dim, *self.decoder_widths, self.d_lf],
+                "upscaler": [self.d_lf, self.upscaler_width(), self.d_hf]}[name]
 
     def upscaler_width(self):
         # round(1.5 * d_lf), half to even, in int arithmetic: no int d_lf overflows it
@@ -102,10 +107,8 @@ def pretrain(config, x_lf) -> MfaeModel:
     lf_stats = compute_norm_stats(fields, config.normalization)
     samples = lf_stats.apply(fields).T  # (N, d_lf)
 
-    encoder = nn.Mlp.from_widths(config.d_lf, config.encoder_widths, config.latent_dim,
-                                 seed=[config.seed, 0])
-    decoder = nn.Mlp.from_widths(config.latent_dim, config.decoder_widths, config.d_lf,
-                                 seed=[config.seed, 1])
+    encoder = nn.Mlp.from_widths(config.dims("encoder"), seed=[config.seed, 0])
+    decoder = nn.Mlp.from_widths(config.dims("decoder"), seed=[config.seed, 1])
     auto = nn.stack(encoder, decoder)
     result = nn.train(auto, samples, samples, epochs=config.pretrain_epochs, adam=config.adam)
     return MfaeModel(config=config, encoder=encoder, decoder=decoder,
@@ -140,7 +143,7 @@ def fine_tune(model, x_lf, y_hf, epochs, monitor=None, patience=100,
     if seed is None:
         seed = [cfg.seed, 2]
     if cfg.uses_upscaler:
-        model.upscaler = nn.Mlp.from_widths(cfg.d_lf, [cfg.upscaler_width()], cfg.d_hf, seed=seed)
+        model.upscaler = nn.Mlp.from_widths(cfg.dims("upscaler"), seed=seed)
     model.hf_stats = compute_norm_stats(y, cfg.normalization)
 
     # one tenth of the pretraining rate unless given explicitly
@@ -148,7 +151,7 @@ def fine_tune(model, x_lf, y_hf, epochs, monitor=None, patience=100,
         adam = replace(cfg.adam, lr=cfg.adam.lr / 10.0)
 
     # the frozen encoder maps each row to the same latent every epoch, so it
-    # runs once here and training starts at the decoder
+    # runs once here and training starts at the decoder (the mask: see nn)
     encoder = nn.stack(model.encoder, trainable=[False])
 
     def latents(fields):
@@ -199,11 +202,11 @@ def predict(model, x_lf):
 
 def save_model(model, out_dir, extra=None):
     """Write each network, encoder, decoder and upscaler (optional), as a
-    {name}.json header and a {name}.npy of its `nn.parameters`, plus meta.json
-    (config, normalization stats, phase) into a directory. `extra` entries
-    (e.g. training provenance) are merged into meta.json."""
+    {name}.npy of its `nn.parameters` and a {name}.json of its `nn.to_json`,
+    plus meta.json (config, normalization stats, phase) into a directory.
+    `extra` entries (e.g. training provenance) are merged into meta.json."""
     os.makedirs(out_dir, exist_ok=True)
-    for name in ("encoder", "decoder", "upscaler"):
+    for name in NETWORKS:
         if (net := getattr(model, name)) is not None:
             with open(os.path.join(out_dir, f"{name}.json"), "w") as fh:
                 fh.write(nn.to_json(net))
@@ -308,13 +311,14 @@ def load_model(out_dir) -> MfaeModel:
                          f"bundle whose config has uses_upscaler = {config.uses_upscaler}")
 
     def read_net(name):
-        path = os.path.join(out_dir, f"{name}.json")
+        # the config's widths over {name}.npy; {name}.json must be their nn.to_json
         npy = os.path.join(out_dir, f"{name}.npy")
-        with open(path) as fh:
-            net = _read(path, nn.from_json, fh.read(), _read(npy, _load_parameters, npy))
-        if not all(net.trainable):  # fine_tune trains every decoder and up-scaler layer
-            raise ValueError(f"{path}: trainable must be true for every layer, "
-                             f"got {json.dumps(net.trainable)}")
+        net = _read(npy, nn.Mlp.from_parameters, config.dims(name),
+                    _read(npy, _load_parameters, npy))
+        path, want = os.path.join(out_dir, f"{name}.json"), nn.to_json(net)
+        with open(path, "rb") as fh:
+            if fh.read() != want.encode():
+                raise ValueError(f"{path}: must read {want}, the layers of the config")
         return net
 
     upscaler = read_net("upscaler") if want_upscaler else None

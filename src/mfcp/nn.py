@@ -1,18 +1,22 @@
 """Fully-connected networks with hand-written gradients and Adam.
 
 Small, deterministic, float64 throughout. Layers hold (out x in) weight
-matrices; a per-layer trainable mask implements parameter freezing for
-transfer learning. Training is full batch: one Adam step per epoch.
+matrices; a network of widths [n_in, ..., n_out] has relu hidden layers and
+an identity output layer. Training is full batch: one Adam step per epoch.
 
-During `train` the trainable parameters live in one contiguous buffer:
-each trainable layer's weights and biases are rebound as views into it, so
-Adam, the finiteness check and the best-epoch snapshot each touch a single
-array, and networks that share the layers see the trained values without a
-copy-back. `backward` writes the gradients into a second buffer of the same
-layout. It stops at the first trainable layer; the frozen layers below it
-get no gradient because nothing reads one. Fine-tuning (`mfae.fine_tune`)
-does not lean on that: it runs the frozen encoder once per fine-tune and
-trains the decoder and up-scaler on the latents.
+`train` trains every layer of the net it is given; a caller freezes layers
+by running them first, as `mfae.fine_tune` runs the encoder once and trains
+the decoder and up-scaler on the latents. During `train` the parameters
+live in one contiguous buffer: each layer's weights and biases are rebound
+as views into it, so Adam, the finiteness check and the best-epoch snapshot
+each touch a single array, and networks that share the layers see the
+trained values without a copy-back. `backward` writes the gradients into a
+second buffer of the same layout.
+
+`Mlp.trainable` and `stack(trainable=)` only mark `fine_tune`'s encoder
+pass as frozen work for the benchmark tracer (`perfbench/tracer.py`), and
+`train` refuses a net with a frozen layer. They go once the tracer stops
+reading them.
 """
 
 import json
@@ -22,8 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 ACTIVATIONS = ("relu", "identity")
-
-FORMAT_VERSION = 2
 
 
 class TrainingDiverged(RuntimeError):
@@ -66,9 +68,9 @@ class DenseLayer:
 
 
 class Mlp:
-    """Ordered stack of DenseLayers with a per-layer trainable mask."""
+    """Ordered stack of DenseLayers with a per-layer frozen-layer mask."""
 
-    def __init__(self, layers, trainable=None, seed=None):
+    def __init__(self, layers, trainable=None):
         self.layers = list(layers)
         if not self.layers:
             raise ValueError("Mlp needs at least one layer")
@@ -78,19 +80,33 @@ class Mlp:
         self.trainable = [True] * len(self.layers) if trainable is None else list(trainable)
         if len(self.trainable) != len(self.layers):
             raise ValueError("trainable mask length mismatch")
-        self.seed = seed
 
     @property
     def n_in(self):
         return self.layers[0].n_in
 
     @classmethod
-    def from_widths(cls, n_in, hidden, n_out, seed):
-        """Build [n_in -> hidden... -> n_out]: relu hidden layers, identity output."""
+    def from_widths(cls, dims, seed):
+        """The network of widths `dims` with fresh weights drawn from `seed`."""
         rng = np.random.default_rng(seed)
-        dims, acts = [n_in, *hidden, n_out], ["relu"] * len(hidden) + ["identity"]
-        return cls([DenseLayer.init(a, b, act, rng) for a, b, act in zip(dims, dims[1:], acts)],
-                   seed=seed)
+        return cls([DenseLayer.init(a, b, act, rng) for a, b, act in _layer_specs(dims)])
+
+    @classmethod
+    def from_parameters(cls, dims, flat):
+        """The network of widths `dims` whose layers are views into the vector
+        `flat`, laid out as `parameters`; ValueError for a `flat` of another size."""
+        specs = _layer_specs(dims)
+        size = sum(a * b + b for a, b, _ in specs)
+        if flat.size != size:  # checked first: the layers below are allocated to their sizes
+            raise ValueError(f"the layers hold {size} parameters, the parameter vector {flat.size}")
+        layers = [DenseLayer(np.empty((b, a)), np.empty(b), act) for a, b, act in specs]
+        _bind(layers, flat)
+        return cls(layers)
+
+
+def _layer_specs(dims):
+    # (n_in, n_out, activation) per layer: relu hidden layers, an identity output
+    return list(zip(dims, dims[1:], ["relu"] * (len(dims) - 2) + ["identity"]))
 
 
 def stack(*nets, trainable=None):
@@ -126,26 +142,22 @@ def forward(net, x):
 
 
 def backward(net, cache, grad_out, out=None):
-    """Backpropagate; returns one (dW, db) pair per trainable layer.
+    """Backpropagate; returns one (dW, db) pair per layer.
 
-    The pairs are views into one flat buffer laid out as the concatenated
-    `trainable_parameters`: `out` when given (`train` passes its gradient
-    buffer), else a new one. Frozen layers above a trainable one pass the
-    upstream gradient through but contribute no parameter gradients. The
-    pass ends at the first trainable layer: it forms no input gradient there
-    and visits no layer below it. `grad_out` must match the forward output's
-    (n, d_out) shape; neither it nor the cache is written to.
+    The pairs are views into one flat buffer laid out as `parameters`: `out`
+    when given (`train` passes its gradient buffer), else a new one. No input
+    gradient is formed at the first layer. `grad_out` must match the forward
+    output's (n, d_out) shape; neither it nor the cache is written to.
     """
     g = np.asarray(grad_out, dtype=np.float64)
     if len(cache) != len(net.layers):
         raise ValueError("cache does not match network depth")
-    first = net.trainable.index(True)  # ValueError when no layer trains
     top = len(net.layers) - 1
     if out is None:
-        out = np.empty(sum(p.size for p in trainable_parameters(net)))
+        out = np.empty(sum(layer.weights.size + layer.biases.size for layer in net.layers))
     end = out.size  # the layers run top down, so the buffer fills from its end
     grads = []
-    for i in range(top, first - 1, -1):
+    for i in range(top, -1, -1):
         layer = net.layers[i]
         a_in, z = cache[i]
         if g.shape != z.shape:
@@ -153,26 +165,16 @@ def backward(net, cache, grad_out, out=None):
         if layer.activation == "relu":
             # below the top layer g is this pass's own `g @ W` product
             g = np.multiply(g, z > 0.0, out=g if i < top else None)
-        if net.trainable[i]:
-            start = end - layer.weights.size - layer.biases.size
-            dw = out[start:end - layer.biases.size].reshape(layer.weights.shape)
-            db = out[end - layer.biases.size:end]
-            np.matmul(g.T, a_in, out=dw)
-            np.add.reduce(g, axis=0, out=db)  # g.sum(axis=0) without its Python wrapper
-            grads.append((dw, db))
-            end = start
-        if i > first:
+        start = end - layer.weights.size - layer.biases.size
+        dw = out[start:end - layer.biases.size].reshape(layer.weights.shape)
+        db = out[end - layer.biases.size:end]
+        np.matmul(g.T, a_in, out=dw)
+        np.add.reduce(g, axis=0, out=db)  # g.sum(axis=0) without its Python wrapper
+        grads.append((dw, db))
+        end = start
+        if i > 0:
             g = g @ layer.weights
     return grads[::-1]
-
-
-def trainable_parameters(net):
-    """Views of the trainable parameter arrays, ordered [W, b] per layer."""
-    params = []
-    for layer, flag in zip(net.layers, net.trainable):
-        if flag:
-            params.extend([layer.weights, layer.biases])
-    return params
 
 
 def parameters(layers):
@@ -289,20 +291,21 @@ def train(net, inputs, targets, epochs, adam=None, monitor=None, patience=100):
     (best - 1e-12) and the best-epoch weights are restored. Deterministic:
     no randomness beyond the layer initialization seeds.
 
-    Each trainable layer's weights and biases come out as views into one
+    Every layer trains; its weights and biases come out as views into one
     buffer (see the module docstring); hold the layer, not its arrays.
 
-    Raises ValueError if no layer is trainable, and TrainingDiverged if the
-    loss or any parameter goes non-finite.
+    Raises ValueError for a net with a frozen layer, and TrainingDiverged if
+    the loss or any parameter goes non-finite.
     """
+    if not all(net.trainable):
+        raise ValueError("train trains every layer; run the frozen ones first, outside the net")
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     x = np.asarray(inputs, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ValueError("inputs/targets must be (n, d_in)/(n, d_out) with equal n")
-    trained = [layer for layer, flag in zip(net.layers, net.trainable) if flag]
-    flat = _bind(trained, parameters(trained))
+    flat = _bind(net.layers, parameters(net.layers))
     gflat = np.empty_like(flat)
     state = AdamState([flat], adam)
 
@@ -345,37 +348,6 @@ def train(net, inputs, targets, epochs, adam=None, monitor=None, patience=100):
 
 
 def to_json(net):
-    """The JSON header of a network: everything but its `parameters`."""
-    return json.dumps({
-        "format_version": FORMAT_VERSION,
-        "seed": net.seed,
-        "trainable": list(net.trainable),
-        "layers": [{"in": layer.n_in, "out": layer.n_out, "activation": layer.activation}
-                   for layer in net.layers],
-    })
-
-
-def from_json(text, flat):
-    """The network of a `to_json` header and its `parameters` vector `flat`, each layer's
-    arrays views into `flat`; ValueError for a malformed header or a `flat` of another size."""
-    keys = ["format_version", "seed", "trainable", "layers"]
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or not set(keys) <= set(doc):
-        raise ValueError(f"must be a mapping with the keys {keys}")
-    if doc["format_version"] != FORMAT_VERSION:
-        raise ValueError(f"unsupported model format {doc['format_version']!r}")
-    if type(doc["trainable"]) is not list or not all(type(t) is bool for t in doc["trainable"]):
-        raise ValueError(f"trainable must be a list of bools, got {doc['trainable']!r}")
-    specs = doc["layers"]
-    if type(specs) is not list or not all(
-            isinstance(s, dict) and {"in", "out", "activation"} <= set(s)
-            and all(type(s[k]) is int and s[k] >= 1 for k in ("in", "out")) for s in specs):
-        raise ValueError("layers must be a list of mappings with the keys in, out and activation, "
-                         "and ints >= 1 for in and out")
-    size = sum(s["in"] * s["out"] + s["out"] for s in specs)
-    if flat.size != size:  # checked first: the layers below are allocated to their sizes
-        raise ValueError(f"the layers hold {size} parameters, the parameter vector {flat.size}")
-    layers = [DenseLayer(np.empty((s["out"], s["in"])), np.empty(s["out"]), s["activation"])
-              for s in specs]
-    _bind(layers, flat)
-    return Mlp(layers, trainable=doc["trainable"], seed=doc["seed"])
+    """The architecture of a network as JSON: each layer's widths and activation."""
+    return json.dumps({"layers": [{"in": layer.n_in, "out": layer.n_out,
+                                   "activation": layer.activation} for layer in net.layers]})

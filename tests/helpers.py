@@ -92,7 +92,7 @@ def finite_diff_probe(net, x, y, probes_per_layer=10, h=1e-5, seed=0):
     pred, cache = nn.forward(net, x)
     _, grad = nn.mse_loss(pred, y)
     analytic = nn.backward(net, cache, grad)
-    params = nn.trainable_parameters(net)
+    params = [a for layer in net.layers for a in (layer.weights, layer.biases)]
     flat_analytic = [g for pair in analytic for g in pair]
     pairs = []
     for p, g in zip(params, flat_analytic):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mfcp import cli, data, lofi, mfae
+from mfcp import cli, data, lofi, mfae, nn
 from mfcp.cli import PipelineConfig, dump_config, parse_config
 from mfcp.data import load_csv, save_csv
 from mfcp.lofi import DegradationRecipe, Fps, PodTruncate
@@ -605,6 +605,16 @@ def set_item(index, value):
     return change
 
 
+def swap_network(name, dims):
+    """An edit that replaces network `name` by a consistent pair of .json and
+    .npy files for a fresh network of widths `dims`."""
+    def edit(meta, bundle_dir):
+        net = nn.Mlp.from_widths(dims, seed=0)
+        write_text(f"{name}.json", nn.to_json(net))(meta, bundle_dir)
+        np.save(os.path.join(bundle_dir, f"{name}.npy"), nn.parameters(net.layers))
+    return edit
+
+
 def write_text(name, text):
     def edit(meta, bundle_dir):
         with open(os.path.join(bundle_dir, name), "w") as fh:
@@ -614,9 +624,21 @@ def write_text(name, text):
 
 STD_RULE = ("per_node_standard normalization record needs a finite std >= STD_FLOOR = 1e-08 "
             "for every node")
-NET_KEYS = "['format_version', 'seed', 'trainable', 'layers']"
-LAYERS_RULE = ("layers must be a list of mappings with the keys in, out and activation, "
-               "and ints >= 1 for in and out")
+
+
+def header_rule(name, dims):
+    """The error for a {name}.json other than the layers of the config's network
+    of widths `dims`, as nn.to_json writes them; braces doubled for str.format."""
+    acts = ["relu"] * (len(dims) - 2) + ["identity"]
+    layers = json.dumps({"layers": [{"in": a, "out": b, "activation": act}
+                                    for a, b, act in zip(dims, dims[1:], acts)]})
+    layers = layers.replace("{", "{{").replace("}", "}}")
+    return "{" + name + "}: must read " + layers + ", the layers of the config"
+
+
+ENCODER_RULE = header_rule("encoder", [12, 10, 3])
+DECODER_RULE = header_rule("decoder", [3, 10, 12])
+UPSCALER_RULE = header_rule("upscaler", [12, 18, 24])
 NPY_RULE = "must hold a 1-D float64 array, not "
 
 
@@ -657,23 +679,28 @@ NPY_RULE = "must hold a 1-D float64 array, not "
      "{upscaler}: must exist in a fine_tuned bundle whose config has uses_upscaler = True"),
     ("model_pretrained", copy_upscaler,
      "{upscaler}: must not exist in a pretrained bundle whose config has uses_upscaler = True"),
-    ("model_pretrained", edit_net("encoder", lambda doc: [1]),
-     "{encoder}: must be a mapping with the keys " + NET_KEYS),
+    ("model_pretrained", edit_net("encoder", lambda doc: [1]), ENCODER_RULE),
+    # the keys of a version-3 header, but its trainable
     ("model_pretrained",
-     edit_net("encoder", lambda doc: {k: v for k, v in doc.items() if k != "trainable"}),
-     "{encoder}: must be a mapping with the keys " + NET_KEYS),
-    ("model_pretrained", edit_net("encoder", lambda doc: doc.update(trainable=5)),
-     "{encoder}: trainable must be a list of bools, got 5"),
-    ("model_pretrained", edit_net("decoder", lambda doc: doc.update(layers=[1])),
-     "{decoder}: " + LAYERS_RULE),
+     edit_net("encoder", lambda doc: {"format_version": 2, "seed": [1, 0], **doc}), ENCODER_RULE),
+    ("model_pretrained", edit_net("encoder", lambda doc: doc.update(trainable=5)), ENCODER_RULE),
+    ("model_pretrained", edit_net("decoder", lambda doc: doc.update(layers=[1])), DECODER_RULE),
     ("model_final", edit_net("upscaler", lambda doc: doc["layers"][0].update({"in": {}})),
-     "{upscaler}: " + LAYERS_RULE),
+     UPSCALER_RULE),
     ("model_final", edit_net("upscaler", lambda doc: doc["layers"][1].update(out=0)),
-     "{upscaler}: " + LAYERS_RULE),
+     UPSCALER_RULE),
     ("model_pretrained", edit_net("encoder", lambda doc: doc["layers"][0].update(out=11)),
-     "{encoder}: the layers hold 176 parameters, the parameter vector 163"),
+     ENCODER_RULE),
     ("model_pretrained", edit_net("decoder", lambda doc: doc.update(trainable=[False, False])),
-     "{decoder}: trainable must be true for every layer, got [false, false]"),
+     DECODER_RULE),
+    # the sizes agree with each other, not with the config
+    ("model_final", swap_network("encoder", [5, 10, 3]),
+     "{encoder_npy}: the layers hold 163 parameters, the parameter vector 93"),
+    ("model_pretrained",
+     edit_net("encoder", lambda doc: doc["layers"][0].update(activation="identity")),
+     ENCODER_RULE),
+    ("model_final", lambda meta, bundle_dir: os.remove(os.path.join(bundle_dir, "encoder.json")),
+     "[Errno 2] No such file or directory: {encoder!r}"),
     ("model_final", edit_npy("encoder", set_item(7, math.nan)),
      "{encoder_npy}: holds a non-finite parameter"),
     ("model_pretrained", edit_npy("decoder", set_item(-1, math.inf)),
@@ -687,7 +714,7 @@ NPY_RULE = "must hold a 1-D float64 array, not "
     ("model_final", edit_npy("upscaler", lambda flat: flat.round().astype(np.int64)),
      "{upscaler_npy}: " + NPY_RULE + "1-D <i8"),
     ("model_final", edit_npy("upscaler", lambda flat: np.concatenate([flat, [0.0]])),
-     "{upscaler}: the layers hold 690 parameters, the parameter vector 691"),
+     "{upscaler_npy}: the layers hold 690 parameters, the parameter vector 691"),
     ("model_pretrained", edit_npy("encoder", lambda flat: npy_bytes(flat) + b"\0"),
      "{encoder_npy}: holds bytes after the array"),
     ("model_pretrained", edit_npy("encoder", lambda flat: npy_bytes(flat)[:-8]),
@@ -703,8 +730,7 @@ NPY_RULE = "must hold a 1-D float64 array, not "
      "{decoder_npy}: EOF: reading magic string, expected 8 bytes got 0"),
     ("model_final", lambda meta, bundle_dir: os.remove(os.path.join(bundle_dir, "decoder.npy")),
      "[Errno 2] No such file or directory: {decoder_npy!r}"),
-    ("model_final", write_text("encoder.json", "{"),
-     "{encoder}: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("model_final", write_text("encoder.json", "{"), ENCODER_RULE),
     ("model_pretrained", lambda meta, _: "",
      "{meta}: Expecting value: line 1 column 1 (char 0)"),
     ("model_final", lambda meta, _: meta.update(hf_train_names=5),
@@ -716,7 +742,9 @@ NPY_RULE = "must hold a 1-D float64 array, not "
         "hf-stats-without-fine-tuning", "no-lf-stats", "hf-stats-as-list",
         "fine-tuned-without-upscaler", "pretrained-with-upscaler", "network-not-a-mapping",
         "network-without-trainable", "trainable-an-int", "layer-an-int", "layer-in-a-mapping",
-        "layer-out-zero", "layers-and-vector-of-other-sizes", "frozen-decoder", "encoder-npy-nan",
+        "layer-out-zero", "layers-and-vector-of-other-sizes", "frozen-decoder",
+        "encoder-of-other-widths", "encoder-json-of-other-activation", "encoder-json-missing",
+        "encoder-npy-nan",
         "decoder-npy-inf", "npy-float32", "npy-big-endian", "npy-2-d", "npy-int64",
         "npy-one-value-too-many", "npy-trailing-bytes", "npy-truncated", "npy-header-with-a-null",
         "npy-header-with-a-bytes-key", "npy-empty", "npy-missing",
@@ -729,6 +757,28 @@ def test_inconsistent_bundle_exits_2(tmp_path, capsys, pipeline, bundle, edit, m
     paths.update({f"{name}_npy": os.path.join(bundle_dir, f"{name}.npy")
                   for name in ("encoder", "decoder", "upscaler")})
     assert err == "error: " + message.format(**paths) + "\n"
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("score_kind", "bogus", "unknown score kind 'bogus'"),
+    ("delta", "1.5", "delta must be in (0, 1), got 1.5"),
+    ("delta", "0", "delta must be in (0, 1), got 0.0"),
+    ("delta", "nan", "delta must be in (0, 1), got nan"),
+], ids=["score-kind-bogus", "delta-above-1", "delta-zero", "delta-nan"])
+def test_bad_score_kind_or_delta_exits_2_before_any_split_trains(tmp_path, capsys, monkeypatch,
+                                                                 pipeline, key, value, message):
+    import shutil
+    root, cfg, _ = pipeline
+    bad = parse_config(dump_config(cfg) + f"{key} = {value}\n")
+    bad.out_dir = str(tmp_path / "out")
+    shutil.copytree(root / "out", bad.out_dir)
+    (tmp_path / "bad.txt").write_text(dump_config(bad))
+    tuned = []
+    monkeypatch.setattr(mfae, "fine_tune", lambda *args, **kwargs: tuned.append(args))
+    capsys.readouterr()
+    assert cli.main(["calibrate", "--config", str(tmp_path / "bad.txt")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert tuned == []
 
 
 @pytest.mark.parametrize("mode", ["global_minmax", "bogus"])

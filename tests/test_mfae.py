@@ -26,6 +26,8 @@ def test_config_invariants():
     assert small_config().uses_upscaler
     assert small_config(upscaler_hidden=40).upscaler_width() == 40
     assert small_config().upscaler_width() == 24  # 1.5 x d_lf
+    assert [small_config().dims(name) for name in mfae.NETWORKS] == [[16, 12, 2], [2, 12, 16],
+                                                                      [16, 24, 24]]
     # rounded half to even, as round(1.5 * d_lf) does
     assert [small_config(d_lf=d).upscaler_width() for d in (17, 19)] == [26, 28]
     with pytest.raises(ValueError):
@@ -119,19 +121,47 @@ def test_fine_tune_freezes_encoder_and_sets_phase():
 
 def stacked_fine_tune(model, x_lf, y_hf, epochs, monitor=None, patience=100, adam=None,
                       seed=None):
-    """fine_tune as nn.train on nn.stack(encoder, decoder, upscaler) with the
-    encoder frozen, so the encoder's forward pass runs every epoch."""
+    """fine_tune as nn.train's schedule over the whole stack (encoder, decoder,
+    upscaler) with the encoder frozen: the encoder's forward pass runs every
+    epoch, backward stops above it, and Adam steps each array on its own."""
     cfg = model.config
     if cfg.uses_upscaler:
-        model.upscaler = nn.Mlp.from_widths(cfg.d_lf, [cfg.upscaler_width()], cfg.d_hf,
+        model.upscaler = nn.Mlp.from_widths(cfg.dims("upscaler"),
                                             seed=[cfg.seed, 2] if seed is None else seed)
     model.hf_stats = compute_norm_stats(y_hf, cfg.normalization)
     adam = adam or dataclasses.replace(cfg.adam, lr=cfg.adam.lr / 10.0)
-    parts = [p for p in (model.encoder, model.decoder, model.upscaler) if p is not None]
-    net = nn.stack(*parts, trainable=[False] + [True] * (len(parts) - 1))
-    mon = monitor and (model.lf_stats.apply(monitor[0]).T, model.hf_stats.apply(monitor[1]).T)
-    result = nn.train(net, model.lf_stats.apply(x_lf).T, model.hf_stats.apply(y_hf).T,
-                      epochs, adam, mon, patience)
+    net = nn.stack(*[p for p in (model.encoder, model.decoder, model.upscaler) if p is not None])
+    frozen = len(model.encoder.layers)
+    tail = nn.Mlp(net.layers[frozen:])
+    params = [a for layer in tail.layers for a in (layer.weights, layer.biases)]
+    state = nn.AdamState(params, adam)
+    x, y = model.lf_stats.apply(x_lf).T, model.hf_stats.apply(y_hf).T
+    result = nn.TrainResult()
+    if monitor is not None:
+        mon_x, mon_y = model.lf_stats.apply(monitor[0]).T, model.hf_stats.apply(monitor[1]).T
+
+        def val_mse():
+            return float(np.mean((nn.forward(net, mon_x)[0] - mon_y) ** 2))
+
+        result.val_losses, result.best_epoch = [val_mse()], 0
+        best = [p.copy() for p in params]
+    for epoch in range(1, epochs + 1):
+        pred, cache = nn.forward(net, x)
+        loss, grad = nn.mse_loss(pred, y)
+        result.losses.append(loss)
+        grads = nn.backward(tail, cache[frozen:], grad)
+        nn.adam_step(state, params, [g for pair in grads for g in pair])
+        if monitor is not None:
+            result.val_losses.append(val_mse())
+            if result.val_losses[-1] < result.val_losses[result.best_epoch] - 1e-12:
+                result.best_epoch = epoch
+                best = [p.copy() for p in params]
+            elif epoch - result.best_epoch >= patience:
+                result.halted_early = True
+                break
+    if monitor is not None:
+        for p, b in zip(params, best):
+            p[...] = b
     model.phase = mfae.PHASE_FINE_TUNED
     return result
 

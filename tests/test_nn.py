@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -33,7 +34,7 @@ def test_forward_rejects_anything_but_an_n_by_d_in_batch():
 
 
 def test_forward_matches_manual_recomputation():
-    net = nn.Mlp.from_widths(4, [5], 3, seed=2)
+    net = nn.Mlp.from_widths([4, 5, 3], seed=2)
     x = np.random.default_rng(0).normal(size=4)
     y, _ = nn.forward(net, x[None, :])
     assert y.shape == (1, 3)
@@ -63,34 +64,24 @@ def test_backward_single_weight_hand_calculus():
 
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(9)
-    net = nn.Mlp.from_widths(6, [8, 5], 4, seed=33)
+    net = nn.Mlp.from_widths([6, 8, 5, 4], seed=33)
     x = rng.normal(size=(12, 6))
     y = rng.normal(size=(12, 4))
     for analytic, numeric in finite_diff_probe(net, x, y, probes_per_layer=10):
         assert rel_err(analytic, numeric) <= 1e-5
 
 
-def test_backward_frozen_layers_pass_through():
-    net = nn.Mlp.from_widths(3, [4, 4], 2, seed=5)
-    net.trainable = [False, True, True]
-    x = np.random.default_rng(1).normal(size=(6, 3))
-    y, cache = nn.forward(net, x)
-    grads = nn.backward(net, cache, 2.0 * y / y.size)
-    assert len(grads) == 2  # no parameter gradients for the frozen layer
-    assert all(g is not None for g in grads)
-
-
 def test_backward_frozen_prefix_matches_all_trainable_bitwise():
-    net = nn.Mlp.from_widths(5, [7, 6, 4], 3, seed=21)
+    # a caller freezes a prefix by running it and training the rest on its
+    # output, as fine_tune trains on the latents: the rest's gradients are
+    # the whole net's, bit for bit
+    net = nn.Mlp.from_widths([5, 7, 6, 4, 3], seed=21)
     x = np.random.default_rng(2).normal(size=(9, 5))
     y, cache = nn.forward(net, x)
     grad = 2.0 * y / y.size
     full = nn.backward(net, cache, grad)
-    net.trainable = [False, False, True, True]
-    # the pass ends at the first trainable layer, so it never reads the
-    # frozen prefix's cache entries
-    partial = nn.backward(net, [None, None] + cache[2:], grad)
-    assert len(partial) == 2
+    partial = nn.backward(nn.Mlp(net.layers[2:]), cache[2:], grad)
+    assert len(full) == 4 and len(partial) == 2
     for (dw, db), (dw_full, db_full) in zip(partial, full[2:]):
         assert np.array_equal(dw, dw_full)
         assert np.array_equal(db, db_full)
@@ -112,23 +103,23 @@ def reference_forward(net, x):
     return a, cache
 
 
-def reference_backward(net, cache, grad_out):
+def reference_backward(net, cache, grad_out, frozen=0):
+    """Gradients of the layers above the first `frozen` ones, which get none."""
     g, grads = grad_out, []
-    first = net.trainable.index(True)
-    for i in range(len(net.layers) - 1, first - 1, -1):
+    for i in range(len(net.layers) - 1, frozen - 1, -1):
         a_in, z = cache[i]
         if net.layers[i].activation == "relu":
             g = g * (z > 0.0)
-        if net.trainable[i]:
-            grads.append((g.T @ a_in, g.sum(axis=0)))
-        if i > first:
+        grads.append((g.T @ a_in, g.sum(axis=0)))
+        if i > frozen:
             g = g @ net.layers[i].weights
     return grads[::-1]
 
 
-def reference_train(net, x, y, epochs, adam, monitor, patience):
-    """(losses, val_losses, best_epoch) of nn.train's schedule, Adam per array."""
-    params = nn.trainable_parameters(net)
+def reference_train(net, x, y, epochs, adam, monitor, patience, frozen=0):
+    """(losses, val_losses, best_epoch) of nn.train's schedule, Adam per array,
+    on the whole net with its first `frozen` layers left as they are."""
+    params = [a for layer in net.layers[frozen:] for a in (layer.weights, layer.biases)]
     state = nn.AdamState(params, adam)
 
     def val_mse():
@@ -140,7 +131,7 @@ def reference_train(net, x, y, epochs, adam, monitor, patience):
         pred, cache = reference_forward(net, x)
         diff = pred - y
         losses.append(float(np.mean(diff * diff)))
-        grads = reference_backward(net, cache, 2.0 * diff / diff.size)
+        grads = reference_backward(net, cache, 2.0 * diff / diff.size, frozen)
         nn.adam_step(state, params, [g for pair in grads for g in pair])
         val_losses.append(val_mse())
         if val_losses[-1] < val_losses[best_epoch] - 1e-12:
@@ -153,20 +144,19 @@ def reference_train(net, x, y, epochs, adam, monitor, patience):
     return losses, val_losses, best_epoch
 
 
-def relu_topped_net(seed, trainable):
+def relu_topped_net(seed):
     """Three relu layers, the output one too, so the top layer's mask runs."""
     rng = np.random.default_rng(seed)
-    layers = [nn.DenseLayer.init(i, o, "relu", rng) for i, o in ((5, 7), (7, 6), (6, 4))]
-    return nn.Mlp(layers, trainable=trainable)
+    return nn.Mlp([nn.DenseLayer.init(i, o, "relu", rng) for i, o in ((5, 7), (7, 6), (6, 4))])
 
 
-MASKS = [[True, True, True], [False, True, True], [True, False, True], [False, False, True]]
+# how many leading layers the caller freezes: it runs them and trains the rest
+FROZEN = {"all": 0, "frozen-first": 1, "frozen-prefix": 2}
 
 
-@pytest.mark.parametrize("trainable", MASKS, ids=["all", "frozen-first", "frozen-middle",
-                                                  "frozen-prefix"])
-def test_backward_matches_the_allocating_form_bitwise_and_writes_no_input(trainable):
-    net = relu_topped_net(31, trainable)
+@pytest.mark.parametrize("frozen", FROZEN.values(), ids=FROZEN.keys())
+def test_backward_matches_the_allocating_form_bitwise_and_writes_no_input(frozen):
+    net = relu_topped_net(31)
     rng = np.random.default_rng(32)
     x = rng.normal(size=(5, 9)).T  # a transposed (F-ordered) batch, as fine_tune's rows
     pred, cache = nn.forward(net, x)
@@ -176,14 +166,16 @@ def test_backward_matches_the_allocating_form_bitwise_and_writes_no_input(traina
                for (a, z), (ra, rz) in zip(cache, ref_cache))
     grad = rng.normal(size=pred.shape)
     before = [grad.copy()] + [arr.copy() for pair in cache for arr in pair]
-    want = reference_backward(net, cache, grad)
-    buffer = np.full(sum(p.size for p in nn.trainable_parameters(net)), np.nan)
-    for got in (nn.backward(net, cache, grad), nn.backward(net, cache, grad, out=buffer)):
-        assert len(got) == len(want) == sum(trainable)
+    want = reference_backward(net, cache, grad, frozen)
+    tail = nn.Mlp(net.layers[frozen:])
+    buffer = np.full(nn.parameters(tail.layers).size, np.nan)
+    for got in (nn.backward(tail, cache[frozen:], grad),
+                nn.backward(tail, cache[frozen:], grad, out=buffer)):
+        assert len(got) == len(want) == 3 - frozen
         for (dw, db), (rw, rb) in zip(got, want):
             assert dw.shape == rw.shape and dw.tobytes() == rw.tobytes()
             assert db.shape == rb.shape and db.tobytes() == rb.tobytes()
-    # with `out`, the pairs are views laid out as trainable_parameters
+    # with `out`, the pairs are views laid out as `parameters`
     assert buffer.tobytes() == np.concatenate([g.ravel() for pair in want for g in pair]).tobytes()
     after = [grad] + [arr for pair in cache for arr in pair]
     assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
@@ -201,15 +193,20 @@ def test_mse_loss_matches_the_allocating_form_bitwise_and_writes_no_input():
         assert pred.tobytes() == before[0].tobytes() and target.tobytes() == before[1].tobytes()
 
 
-@pytest.mark.parametrize("trainable", MASKS[:2], ids=["all", "frozen-first"])
-def test_train_matches_the_allocating_form_bitwise(trainable):
+@pytest.mark.parametrize("frozen", [0, 1], ids=["all", "frozen-first"])
+def test_train_matches_the_allocating_form_bitwise(frozen):
     rng = np.random.default_rng(34)
     x, y = rng.normal(size=(12, 5)), rng.normal(size=(12, 4))
     monitor = (rng.normal(size=(6, 5)), rng.normal(size=(6, 4)))
     adam = nn.AdamConfig(lr=2e-2)
-    net, ref = relu_topped_net(35, trainable), relu_topped_net(35, trainable)
-    result = nn.train(net, x, y, epochs=400, adam=adam, monitor=monitor, patience=15)
-    losses, val_losses, best_epoch = reference_train(ref, x, y, 400, adam, monitor, 15)
+    net, ref = relu_topped_net(35), relu_topped_net(35)
+
+    def head(a):  # the frozen layers, run once, as fine_tune runs the encoder
+        return nn.forward(nn.Mlp(net.layers[:frozen]), a)[0] if frozen else a
+
+    result = nn.train(nn.Mlp(net.layers[frozen:]), head(x), y, epochs=400, adam=adam,
+                      monitor=(head(monitor[0]), monitor[1]), patience=15)
+    losses, val_losses, best_epoch = reference_train(ref, x, y, 400, adam, monitor, 15, frozen)
     assert result.halted_early and 0 < result.best_epoch < len(result.losses)
     assert (result.losses, result.val_losses, result.best_epoch) == (losses, val_losses,
                                                                       best_epoch)
@@ -311,7 +308,7 @@ def test_mse_loss_matches_naive_loop():
 
 
 def test_train_rejects_zero_epochs():
-    net = nn.Mlp.from_widths(2, [], 2, seed=0)
+    net = nn.Mlp.from_widths([2, 2], seed=0)
     with pytest.raises(ValueError):
         nn.train(net, np.zeros((3, 2)), np.zeros((3, 2)), epochs=0)
 
@@ -321,7 +318,7 @@ def test_train_fits_exact_linear_data():
     x = rng.normal(size=(20, 3))
     w_true = rng.normal(size=(2, 3))
     y = x @ w_true.T + 0.5
-    net = nn.Mlp.from_widths(3, [], 2, seed=1)
+    net = nn.Mlp.from_widths([3, 2], seed=1)
     result = nn.train(net, x, y, epochs=2000, adam=nn.AdamConfig(lr=1e-2))
     assert result.losses[-1] <= 1e-6
 
@@ -332,29 +329,16 @@ def test_train_deterministic_per_seed():
     y = rng.normal(size=(10, 2))
     histories = []
     for _ in range(2):
-        net = nn.Mlp.from_widths(3, [4], 2, seed=77)
+        net = nn.Mlp.from_widths([3, 4, 2], seed=77)
         histories.append(nn.train(net, x, y, epochs=30).losses)
     assert histories[0] == histories[1]
-
-
-def test_train_freezes_masked_layers():
-    x = np.random.default_rng(3).normal(size=(8, 3))
-    y = np.random.default_rng(4).normal(size=(8, 2))
-    net = nn.Mlp.from_widths(3, [4], 2, seed=6)
-    net.trainable = [False, True]
-    frozen_before = net.layers[0].weights.copy(), net.layers[0].biases.copy()
-    digest_before = params_digest(nn.Mlp([net.layers[0]]))
-    nn.train(net, x, y, epochs=50)
-    assert params_digest(nn.Mlp([net.layers[0]])) == digest_before
-    assert np.array_equal(net.layers[0].weights, frozen_before[0])
-    assert np.array_equal(net.layers[0].biases, frozen_before[1])
 
 
 def test_early_stopping_restores_best_weights():
     rng = np.random.default_rng(10)
     x = rng.normal(size=(10, 2))
     y = x @ rng.normal(size=(2, 2))
-    net = nn.Mlp.from_widths(2, [], 2, seed=12)
+    net = nn.Mlp.from_widths([2, 2], seed=12)
     initial = [l.weights.copy() for l in net.layers]
     # validation target equals the untrained output: epoch 0 is already
     # optimal, so any update worsens the monitor and patience must trigger
@@ -380,7 +364,7 @@ def test_train_raises_on_divergence():
 
 def test_train_raises_on_non_finite_parameter():
     rng = np.random.default_rng(6)
-    net = nn.Mlp.from_widths(3, [4], 2, seed=8)
+    net = nn.Mlp.from_widths([3, 4, 2], seed=8)
     with np.errstate(invalid="ignore"), pytest.raises(nn.TrainingDiverged) as err:
         nn.train(net, rng.normal(size=(6, 3)), rng.normal(size=(6, 2)), epochs=5,
                  adam=nn.AdamConfig(lr=float("inf")))
@@ -389,32 +373,36 @@ def test_train_raises_on_non_finite_parameter():
 
 
 def test_train_refuses_an_all_frozen_net():
+    # or any net with a frozen layer: train trains every layer it is given
     rng = np.random.default_rng(7)
     x, y = rng.normal(size=(6, 3)), rng.normal(size=(6, 2))
-    net = nn.Mlp.from_widths(3, [4], 2, seed=9)
-    net.trainable = [False, False]
-    digest = params_digest(net)
-    with pytest.raises(ValueError):
-        nn.train(net, x, y, epochs=7, monitor=(x, y), patience=100)
-    assert params_digest(net) == digest
-    with pytest.raises(ValueError):
-        nn.backward(net, nn.forward(net, x)[1], y)
+    for mask in ([False, False], [False, True], [True, False]):
+        net = nn.Mlp.from_widths([3, 4, 2], seed=9)
+        net.trainable = mask
+        digest = params_digest(net)
+        with pytest.raises(ValueError) as err:
+            nn.train(net, x, y, epochs=7, monitor=(x, y), patience=100)
+        assert str(err.value) == ("train trains every layer; run the frozen ones first, "
+                                  "outside the net")
+        assert params_digest(net) == digest
 
 
 def test_json_round_trip_lossless():
-    net = nn.Mlp.from_widths(3, [5], 2, seed=19)
-    net.trainable = [True, False]
+    # a bundle keeps a network as its `parameters` vector beside its to_json
+    # layers; from_parameters rebuilds it from the widths and that vector
+    net = nn.Mlp.from_widths([3, 5, 2], seed=19)
     flat = nn.parameters(net.layers)
-    assert np.array_equal(flat, np.concatenate([p.ravel() for p in nn.trainable_parameters(
-        nn.Mlp(net.layers))]))  # the order train lays its buffer out in
-    assert "weights" not in nn.to_json(net)
-    clone = nn.from_json(nn.to_json(net), flat)
+    assert json.loads(nn.to_json(net)) == {"layers": [
+        {"in": 3, "out": 5, "activation": "relu"}, {"in": 5, "out": 2, "activation": "identity"}]}
+    clone = nn.Mlp.from_parameters([3, 5, 2], flat)
+    assert nn.to_json(clone) == nn.to_json(net)
     assert all(layer.weights.base is flat and layer.biases.base is flat for layer in clone.layers)
-    assert clone.trainable == net.trainable
-    assert clone.seed == net.seed
     for a, b in zip(net.layers, clone.layers):
-        assert a.activation == b.activation
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.biases, b.biases)
     x = np.random.default_rng(0).normal(size=(1, 3))
     assert np.array_equal(nn.forward(net, x)[0], nn.forward(clone, x)[0])
+    for size in (31, 33):
+        with pytest.raises(ValueError) as err:
+            nn.Mlp.from_parameters([3, 5, 2], np.zeros(size))
+        assert str(err.value) == f"the layers hold 32 parameters, the parameter vector {size}"
