@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields as dc_fields
 import numpy as np
 
 from . import conformal, lofi, mfae, nn
-from .data import _write_rows, load_csv, metrics, save_csv, stratified_split
+from .data import _row_heads, _write_rows, load_csv, metrics, save_csv, stratified_split
 
 log = logging.getLogger("mfcp")
 
@@ -303,7 +303,7 @@ def _evaluate_subset(model, radius, lf, hf, names):
     lower, upper = conformal.band(pred.T, radius)
     cov = conformal.coverage(lower, upper, y.T)
     m = metrics(pred, y)
-    return pred, lower, upper, {
+    return y, pred, lower, upper, {
         "mae": m["mae"],
         "rmse": m["rmse"],
         "r2": m["r2"],
@@ -325,7 +325,7 @@ def cmd_evaluate(cfg):
             raise ValueError(f"test snapshot name {name!r} contains a path separator")
     radius = np.array(calibration["R_star"], dtype=np.float64)
 
-    pred, lower, upper, test_report = _evaluate_subset(model, radius, lf, hf, test_names)
+    truth, pred, lower, upper, test_report = _evaluate_subset(model, radius, lf, hf, test_names)
     report = {
         "format_version": REPORT_VERSION,
         "delta": calibration["delta"],
@@ -335,17 +335,17 @@ def cmd_evaluate(cfg):
     lf_names = set(lf.names)
     comp_names = [n for n in split.get("complementary_names", []) if n in lf_names]
     if comp_names:
-        _, _, _, comp_report = _evaluate_subset(model, radius, lf, hf, comp_names)
+        *_, comp_report = _evaluate_subset(model, radius, lf, hf, comp_names)
         report["complementary_test"] = comp_report
 
     pred_dir = os.path.join(cfg.out_dir, "predictions")
     os.makedirs(pred_dir, exist_ok=True)
-    truth = hf.fields[:, hf.indices_of(test_names)]
+    heads = _row_heads(hf.coords[:, :1])  # node,x: the same in every file
     for j, name in enumerate(test_names):
         with open(os.path.join(pred_dir, f"{name}.csv"), "w") as fh:
             fh.write("node,x,truth,prediction,lower,upper\n")
-            _write_rows(fh, np.column_stack([hf.coords[:, 0], truth[:, j], pred[:, j],
-                                             lower[j], upper[j]]), "\n")
+            _write_rows(fh, heads, np.column_stack([truth[:, j], pred[:, j], lower[j], upper[j]]),
+                        "\n")
 
     if test_names:
         try:
@@ -374,29 +374,28 @@ def _section_plot_svg(x, truth, pred, lower, upper, title="", width=720, height=
     lower, upper = np.asarray(lower)[order], np.asarray(upper)[order]
     pad = 50.0
     lo, hi = float(min(lower.min(), truth.min())), float(max(upper.max(), truth.max()))
-    span_x = float(x.max() - x.min()) or 1.0
+    x_min = x.min()
+    span_x = float(x.max() - x_min) or 1.0
     span_y = (hi - lo) or 1.0
-
-    def sx(v):
-        return pad + (v - x.min()) / span_x * (width - 2 * pad)
+    px = (pad + (x - x_min) / span_x * (width - 2 * pad)).tolist()
 
     def sy(v):
         # value axis inverted so larger suction plots upward, plot-style
-        return pad + (hi - v) / span_y * (height - 2 * pad)
+        return (pad + (hi - v) / span_y * (height - 2 * pad)).tolist()
 
     def pts(xs, ys):
-        return " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(xs, ys))
+        return " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(xs, ys))
 
-    band_path = pts(x, upper) + " " + pts(x[::-1], lower[::-1])
+    band_path = pts(px, sy(upper)) + " " + pts(px[::-1], sy(lower)[::-1])
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.0f}" y="24" text-anchor="middle" font-size="14">{title}</text>',
         f'<polygon points="{band_path}" fill="#f4c7c3" stroke="none" opacity="0.8"/>',
-        f'<polyline points="{pts(x, pred)}" fill="none" stroke="#c0392b" stroke-width="1.5"/>',
+        f'<polyline points="{pts(px, sy(pred))}" fill="none" stroke="#c0392b" stroke-width="1.5"/>',
     ]
-    for a, b in zip(x, truth):
-        parts.append(f'<circle cx="{sx(a):.2f}" cy="{sy(b):.2f}" r="2.2" fill="#2a5db0"/>')
+    parts += [f'<circle cx="{a:.2f}" cy="{b:.2f}" r="2.2" fill="#2a5db0"/>'
+              for a, b in zip(px, sy(truth))]
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -87,12 +87,21 @@ def params_path_for(path):
     return f"{stem}_params.{ext}"
 
 
-def _write_rows(fh, body, eol):
-    """One line per row of `body`: the row index, then every value with 17
-    significant digits, so a load round-trips bit-exactly."""
-    line = "%d," + ",".join(["%.17g"] * body.shape[1]) + eol
-    for i, row in enumerate(body.tolist()):
-        fh.write(line % (i, *row))
+def _row_heads(coords):
+    """The start of each CSV line: the row index, then the row's coordinates
+    with 17 significant digits. No trailing comma, so that a row with no
+    values after it ends at its last coordinate."""
+    head = "%d" + ",%.17g" * coords.shape[1]
+    return [head % (i, *row) for i, row in enumerate(coords.tolist())]
+
+
+def _write_rows(fh, heads, body, eol):
+    """One line per row of `body`: its head from `heads`, then every value
+    with 17 significant digits, so a load round-trips bit-exactly. Lines are
+    written one at a time; a whole file's text is never built."""
+    line = "%s" + ",%.17g" * body.shape[1] + eol
+    for head, row in zip(heads, body.tolist()):
+        fh.write(line % (head, *row))
 
 
 def save_csv(s, path):
@@ -102,7 +111,7 @@ def save_csv(s, path):
     coord_cols = COORD_NAMES[: s.coords.shape[1]]
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(["node", *coord_cols, *s.names])
-        _write_rows(fh, np.hstack([s.coords, s.fields]), "\r\n")
+        _write_rows(fh, _row_heads(s.coords), s.fields, "\r\n")
     with open(params_path_for(path), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["name", *s.param_names])

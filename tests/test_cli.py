@@ -436,6 +436,65 @@ def test_evaluate_refuses_test_names_with_a_path_separator(tmp_path, capsys):
     assert not (tmp_path / "out" / "predictions").exists()
 
 
+def reference_section_plot_svg(x, truth, pred, lower, upper, title="", width=720, height=480):
+    """The section plot as it was drawn before its coordinates were computed
+    as arrays: one scalar transform per point, x.min() taken each time."""
+    title = "".join(c if c.isprintable() else "\ufffd" for c in title)
+    title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    order = np.argsort(x, kind="stable")
+    x = np.asarray(x)[order]
+    truth, pred = np.asarray(truth)[order], np.asarray(pred)[order]
+    lower, upper = np.asarray(lower)[order], np.asarray(upper)[order]
+    pad = 50.0
+    lo, hi = float(min(lower.min(), truth.min())), float(max(upper.max(), truth.max()))
+    span_x = float(x.max() - x.min()) or 1.0
+    span_y = (hi - lo) or 1.0
+
+    def sx(v):
+        return pad + (v - x.min()) / span_x * (width - 2 * pad)
+
+    def sy(v):
+        return pad + (hi - v) / span_y * (height - 2 * pad)
+
+    def pts(xs, ys):
+        return " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(xs, ys))
+
+    band_path = pts(x, upper) + " " + pts(x[::-1], lower[::-1])
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{width / 2:.0f}" y="24" text-anchor="middle" font-size="14">{title}</text>',
+        f'<polygon points="{band_path}" fill="#f4c7c3" stroke="none" opacity="0.8"/>',
+        f'<polyline points="{pts(x, pred)}" fill="none" stroke="#c0392b" stroke-width="1.5"/>',
+    ]
+    for a, b in zip(x, truth):
+        parts.append(f'<circle cx="{sx(a):.2f}" cy="{sy(b):.2f}" r="2.2" fill="#2a5db0"/>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def plot_case(kind):
+    rng = np.random.default_rng(11)
+    n = 1 if kind == "single-node" else 40
+    # unsorted x with repeated stations, like an upper and a lower surface
+    x = np.round(rng.uniform(-0.3, 1.7, n), 1)
+    truth = np.full(n, -0.75) if kind == "constant-truth" else rng.normal(size=n) * 3.0
+    if kind == "nan-truth":
+        truth[n // 2] = np.nan
+    pred = truth + rng.normal(size=n) * 0.1
+    radius = np.abs(rng.normal(size=n)) + 0.05
+    return x, truth, pred, pred - radius, pred + radius
+
+
+@pytest.mark.parametrize("kind", ["unsorted-duplicates", "single-node", "constant-truth",
+                                  "nan-truth"])
+def test_section_plot_matches_the_per_point_form(kind):
+    case = plot_case(kind)
+    got = cli._section_plot_svg(*case, title="s<0>")
+    assert got == reference_section_plot_svg(*case, title="s<0>")
+    assert got.count("<circle") == len(case[0])
+
+
 def test_section_plot_is_well_formed_xml_for_any_name(tmp_path):
     from xml.dom import minidom
 

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import os
 import subprocess
 import sys
@@ -170,6 +171,42 @@ def test_csv_codec_matches_reference_bytes_and_round_trips_bits(tmp_path, kind):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()  # bit-exact, the sign of -0.0 too
     assert loaded.fields.flags.c_contiguous and loaded.coords.flags.c_contiguous
+
+
+def reference_write_rows(fh, body, eol):
+    """The row writer before heads were shared: one `%` format per row of the
+    coordinates and values stacked side by side."""
+    line = "%d," + ",".join(["%.17g"] * body.shape[1]) + eol
+    for i, row in enumerate(body.tolist()):
+        fh.write(line % (i, *row))
+
+
+# both sides of where %.17g switches to exponent notation (below 1e-4, from
+# 1e17), signed zeros, subnormals, the largest finite values, infinities and nan
+WRITER_FLOATS = st.one_of(
+    st.floats(width=64),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-5, -1e-5, 1e-4,
+                     9.9999999999999991e-5, 1.0000000000000001e-4, 1e17, 9.9999999999999984e16,
+                     1.0000000000000002e17, -1e17, math.inf, -math.inf, math.nan,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(1e-6, 1e-3).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.floats(1e16, 1e18).flatmap(lambda v: st.sampled_from([v, -v])),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data_=st.data(), n_rows=st.integers(0, 9), n_coords=st.integers(1, 3),
+       n_values=st.integers(0, 4), eol=st.sampled_from(["\n", "\r\n"]))
+def test_write_rows_matches_the_stacked_form(data_, n_rows, n_coords, n_values, eol):
+    def matrix(cols):
+        cells = data_.draw(st.lists(WRITER_FLOATS, min_size=n_rows * cols, max_size=n_rows * cols))
+        return np.array(cells, dtype=np.float64).reshape(n_rows, cols)
+
+    coords, body = matrix(n_coords), matrix(n_values)
+    got, want = io.StringIO(newline=""), io.StringIO(newline="")
+    data._write_rows(got, data._row_heads(coords), body, eol)
+    reference_write_rows(want, np.hstack([coords, body]), eol)
+    assert got.getvalue() == want.getvalue()
 
 
 @pytest.mark.parametrize("body, message", [
