@@ -95,13 +95,21 @@ def _row_heads(coords):
     return [head % (i, *row) for i, row in enumerate(coords.tolist())]
 
 
+# values _write_rows turns into Python floats at a time: about 2 MB of
+# objects however large the body, and one block for a prediction body
+_BLOCK_VALUES = 2**16
+
+
 def _write_rows(fh, heads, body, eol):
     """One line per row of `body`: its head from `heads`, then every value
     with 17 significant digits, so a load round-trips bit-exactly. Lines are
-    written one at a time; a whole file's text is never built."""
+    written one at a time and the body is converted a block of rows at a
+    time; a whole file's text or values are never built."""
     line = "%s" + ",%.17g" * body.shape[1] + eol
-    for head, row in zip(heads, body.tolist()):
-        fh.write(line % (head, *row))
+    step = max(1, _BLOCK_VALUES // max(1, body.shape[1]))
+    for start in range(0, body.shape[0], step):
+        for head, row in zip(heads[start:start + step], body[start:start + step].tolist()):
+            fh.write(line % (head, *row))
 
 
 def save_csv(s, path):

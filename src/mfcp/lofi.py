@@ -33,24 +33,43 @@ def pod_truncate(x, energy):
     return (u[:, :r_star] * sigma[:r_star]) @ vt[:r_star], r_star, float(ratios[r_star - 1])
 
 
+def _sq_dist(cols, i, out, tmp):
+    """Squared distances from point `i` to every point, written into `out`.
+
+    `cols` holds the cloud's coordinate columns. They are added in the order
+    `((p - p[i]) ** 2).sum(axis=1)` adds them, (d0 + d1) + d2, so the bits
+    are the same; `tmp` is scratch of the same length.
+    """
+    np.subtract(cols[0], cols[0][i], out=out)
+    np.square(out, out=out)
+    for col in cols[1:]:
+        np.subtract(col, col[i], out=tmp)
+        np.square(tmp, out=tmp)
+        out += tmp
+    return out
+
+
 def fps(points, m, seed):
     """Greedy max-min farthest-point subsample of an n x c cloud (c <= 3).
 
     The first point is seed-random; each following pick maximizes the
     minimum squared distance to the already-selected set, ties broken by
-    lowest index. Returns indices in selection order.
+    lowest index. Returns indices in selection order. Each pick costs O(n)
+    on buffers allocated once.
     """
     p = linalg.check_matrix(points, "points", max_cols=3)
     n = p.shape[0]
     if not 1 <= m <= n:
         raise ValueError(f"m must be in 1..{n}")
+    cols = [p[:, j].copy() for j in range(p.shape[1])]
+    sq, tmp = np.empty(n), np.empty(n)
     start = int(np.random.default_rng(seed).integers(n))
     selected = [start]
-    min_sq = ((p - p[start]) ** 2).sum(axis=1)
+    min_sq = _sq_dist(cols, start, np.empty(n), tmp)
     while len(selected) < m:
         nxt = int(np.argmax(min_sq))
         selected.append(nxt)
-        min_sq = np.minimum(min_sq, ((p - p[nxt]) ** 2).sum(axis=1))
+        np.minimum(min_sq, _sq_dist(cols, nxt, sq, tmp), out=min_sq)
     return selected
 
 
@@ -58,18 +77,32 @@ def knn_average(points, values, centers, k):
     """Mean of the k nearest points' (n, m) values at each center index.
 
     Distances are Euclidean in the coordinates; ties take the lowest index;
-    a center is its own zero-distance neighbor.
+    a center is its own zero-distance neighbor. Each center costs O(n): a
+    partition finds the k-th smallest distance, and only the points at or
+    below it are sorted, which picks the same k points in the same order as
+    a stable sort of all n distances.
     """
     p = linalg.check_matrix(points, "points", max_cols=3)
+    n = p.shape[0]
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 2:
         raise ValueError(f"values must be an (n, m) matrix, got shape {v.shape}")
-    if not 1 <= k <= p.shape[0]:
+    if v.shape[0] != n:
+        raise ValueError(f"values has {v.shape[0]} rows, expected one per point ({n})")
+    if not 1 <= k <= n:
         raise ValueError("k must be in 1..n")
-    out = np.empty((len(centers), v.shape[1]))
-    for row, c in enumerate(centers):
-        sq = ((p - p[c]) ** 2).sum(axis=1)
-        nearest = np.argsort(sq, kind="stable")[:k]
+    idx = np.asarray(centers)
+    if idx.ndim != 1 or idx.size and (idx.dtype.kind not in "iu"
+                                      or not 0 <= idx.min() <= idx.max() < n):
+        raise ValueError(f"centers must be a list of point indices in 0..{n - 1}")
+    cols = [p[:, j].copy() for j in range(p.shape[1])]
+    sq, tmp = np.empty(n), np.empty(n)
+    out = np.empty((len(idx), v.shape[1]))
+    for row, c in enumerate(idx):
+        _sq_dist(cols, c, sq, tmp)
+        kth = sq[np.argpartition(sq, k - 1)[k - 1]]
+        near = np.flatnonzero(sq <= kth)
+        nearest = near[np.argsort(sq[near], kind="stable")[:k]]
         out[row] = v[nearest].mean(axis=0)
     return out
 
@@ -282,7 +315,12 @@ def apply_recipe(s, recipe, master_seed=0):
     coords = s.coords.copy()
     provenance = {"stages": []}
     for pos, stage in enumerate(recipe.stages):
-        fields, coords, entry = stage.apply(fields, coords, _stage_seed(stage, master_seed, pos))
+        seed = _stage_seed(stage, master_seed, pos)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below, once
+            fields, coords, entry = stage.apply(fields, coords, seed)
+        if not np.isfinite(fields).all():
+            raise ValueError(f"recipe stage {pos} ({stage.kind}): its output fields are "
+                             "not all finite")
         provenance["stages"].append({"kind": stage.kind, **entry})
     out = SnapshotSet(
         fields=fields,

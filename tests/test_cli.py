@@ -112,6 +112,27 @@ def test_malformed_recipe_exits_2(tmp_path, capsys, doc, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("stages, span, message", [
+    # the level step (max - min) / 7 overflows, so every level is inf or nan
+    ([{"kind": "quantize", "levels": 8}], 1.5e308, "recipe stage 0 (quantize)"),
+    # finite input plus a finite offset past the largest double
+    ([{"kind": "noise", "sigma": 0.0}, {"kind": "bias", "offset": 1e308}], 1e308,
+     "recipe stage 1 (bias)"),
+], ids=["quantize", "bias"])
+def test_degrade_refuses_a_stage_that_overflows_finite_input(tmp_path, capsys, stages, span,
+                                                              message):
+    hf = make_pressure_set(8, 10, seed=2)
+    hf.fields = span * np.sign(hf.fields - np.median(hf.fields))
+    save_csv(hf, tmp_path / "hf.csv")
+    (tmp_path / "recipe.json").write_text(json.dumps({"stages": stages}))
+    cfg = PipelineConfig(hf_set=str(tmp_path / "hf.csv"), recipe=str(tmp_path / "recipe.json"),
+                         out_dir=str(tmp_path / "out"))
+    (tmp_path / "c.txt").write_text(dump_config(cfg))
+    assert cli.main(["degrade", "--config", str(tmp_path / "c.txt")]) == 2
+    assert capsys.readouterr().err == f"error: {message}: its output fields are not all finite\n"
+    assert not (tmp_path / "out" / "lf.csv").exists()
+
+
 @pytest.mark.parametrize("line, message", [
     ("patience = 0", "config key patience: must be >= 1, got 0"),
     ("patience = -1", "config key patience: must be >= 1, got -1"),

@@ -209,6 +209,26 @@ def test_write_rows_matches_the_stacked_form(data_, n_rows, n_coords, n_values, 
     assert got.getvalue() == want.getvalue()
 
 
+# rows in one block of a body with 7 values per row
+STEP_7 = data._BLOCK_VALUES // 7
+
+
+@pytest.mark.parametrize("n_rows, cols", [
+    (2 * STEP_7 + 5, 7), (2 * STEP_7, 7), (3, data._BLOCK_VALUES + 1), (data._BLOCK_VALUES + 3, 0),
+], ids=["three-blocks-with-a-remainder", "two-whole-blocks", "one-row-per-block", "no-values"])
+def test_write_rows_matches_the_stacked_form_over_blocks(n_rows, cols):
+    rng = np.random.default_rng(n_rows)
+    special = np.array([0.0, -0.0, 5e-324, 1e-5, 1e17, -1.7976931348623157e308, math.inf, math.nan])
+    body = rng.normal(size=(n_rows, cols)) * 10.0 ** rng.integers(-300, 300, (n_rows, cols))
+    picks = rng.random((n_rows, cols)) < 0.1
+    body[picks] = rng.choice(special, picks.sum())
+    coords = rng.normal(size=(n_rows, 2))
+    got, want = io.StringIO(newline=""), io.StringIO(newline="")
+    data._write_rows(got, data._row_heads(coords), body, "\r\n")
+    reference_write_rows(want, np.hstack([coords, body]), "\r\n")
+    assert got.getvalue() == want.getvalue()
+
+
 @pytest.mark.parametrize("body, message", [
     ("0,0.0,1.0\n1,0.5\n", "{path}: ragged row 3 (2 cells, expected 3)"),
     ("0,0.0,1.0\n1,0.5,2.0,3.0\n", "{path}: ragged row 3 (4 cells, expected 3)"),

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mfcp import linalg, lofi
 from mfcp.lofi import (
@@ -108,6 +109,111 @@ def test_knn_matches_full_sort_oracle():
         nearest = sorted(range(25), key=lambda j: (d[j], j))[:5]
         expected = vals[nearest].mean(axis=0)
         assert np.array_equal(out[row], expected)
+
+
+@pytest.mark.parametrize("n_values, centers, message", [
+    (6, [0], r"values has 6 rows, expected one per point \(5\)"),
+    (4, [0], r"values has 4 rows, expected one per point \(5\)"),
+    (5, [0, -1], r"centers must be a list of point indices in 0\.\.4"),
+    (5, [5], r"centers must be a list of point indices in 0\.\.4"),
+    (5, [1.0], r"centers must be a list of point indices in 0\.\.4"),
+    (5, [[0, 1]], r"centers must be a list of point indices in 0\.\.4"),
+], ids=["more-value-rows", "fewer-value-rows", "negative-center", "center-past-the-end",
+        "float-center", "nested-centers"])
+def test_knn_refuses_values_and_centers_that_do_not_fit_the_points(n_values, centers, message):
+    pts = np.random.default_rng(7).normal(size=(5, 3))
+    with pytest.raises(ValueError, match=message):
+        lofi.knn_average(pts, np.ones((n_values, 2)), centers, k=2)
+
+
+def test_knn_accepts_no_centers_and_repeated_centers():
+    pts = np.random.default_rng(7).normal(size=(5, 2))
+    vals = np.arange(10.0).reshape(5, 2)
+    assert lofi.knn_average(pts, vals, [], k=2).shape == (0, 2)
+    out = lofi.knn_average(pts, vals, np.array([3, 3]), k=1)
+    assert np.array_equal(out, vals[[3, 3]])
+
+
+# --- the selection kernels against their full-sort forms ---------------------
+#
+# fps and knn_average build their distances one coordinate column at a time
+# and select with a partition; these are their forms before that, kept to
+# pin the bits: every pick, tie and mean must be the same.
+
+
+def reference_fps(points, m, seed):
+    start = int(np.random.default_rng(seed).integers(points.shape[0]))
+    selected = [start]
+    min_sq = ((points - points[start]) ** 2).sum(axis=1)
+    while len(selected) < m:
+        nxt = int(np.argmax(min_sq))
+        selected.append(nxt)
+        min_sq = np.minimum(min_sq, ((points - points[nxt]) ** 2).sum(axis=1))
+    return selected
+
+
+def reference_knn_average(points, values, centers, k):
+    out = np.empty((len(centers), values.shape[1]))
+    for row, c in enumerate(centers):
+        sq = ((points - points[c]) ** 2).sum(axis=1)
+        nearest = np.argsort(sq, kind="stable")[:k]
+        out[row] = values[nearest].mean(axis=0)
+    return out
+
+
+@st.composite
+def clouds(draw):
+    """An (n, c) cloud with c in 1..3: any finite doubles (their distances
+    may overflow to inf), or coordinates on a coarse grid; either with some
+    points repeated. Grids and repeats make distances tie."""
+    n, c = draw(st.integers(1, 40)), draw(st.integers(1, 3))
+    free = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-10.0, 10.0))
+    grid = st.integers(-3, 3).map(lambda i: 0.5 * i)
+    cell = free if draw(st.booleans()) else grid
+    points = np.array(draw(st.lists(cell, min_size=n * c, max_size=n * c))).reshape(n, c)
+    if draw(st.booleans()):
+        points = points[draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))]
+    return points
+
+
+def counts(n):
+    """1, n, or any count in between."""
+    return st.one_of(st.just(1), st.just(n), st.integers(1, n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=clouds())
+def test_distances_match_the_row_sum_bitwise(points):
+    # a different summation order moves last bits, which only rarely
+    # changes a pick, so the distances are compared directly
+    n = points.shape[0]
+    cols = [points[:, j].copy() for j in range(points.shape[1])]
+    with np.errstate(over="ignore"):
+        for i in range(n):
+            got = lofi._sq_dist(cols, i, np.empty(n), np.empty(n))
+            want = ((points - points[i]) ** 2).sum(axis=1)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data_=st.data(), points=clouds(), seed=st.integers(0, 2**32 - 1))
+def test_fps_matches_the_full_form_bitwise(data_, points, seed):
+    m = data_.draw(counts(points.shape[0]))
+    with np.errstate(over="ignore"):
+        assert lofi.fps(points, m, seed) == reference_fps(points, m, seed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data_=st.data(), points=clouds(), seed=st.integers(0, 2**32 - 1))
+def test_knn_average_matches_the_full_sort_bitwise(data_, points, seed):
+    n = points.shape[0]
+    k = data_.draw(counts(n))
+    centers = data_.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    values = np.random.default_rng(seed).normal(size=(n, data_.draw(st.integers(1, 3))))
+    with np.errstate(over="ignore"):
+        got = lofi.knn_average(points, values, centers, k)
+        want = reference_knn_average(points, values, centers, k)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_voxelize_single_cell_example():

@@ -1,20 +1,22 @@
 """The sha256 of every output file of one benchmark workload's pipeline.
 
-    python3 tools/output_digests.py --workload mesh3d_io --seed 1
+    python3 tools/output_digests.py --workload mesh3d_io --seed 1 2 3
 
-Run from anywhere in a repository checkout. It writes the workload's inputs
-for the seed with perfbench/workloads.py (imported, never edited) into a
-temporary directory, runs the five stages `degrade -> pretrain -> calibrate
--> finetune -> evaluate` there, each as a child `python3 -m mfcp.cli
-<stage> --config config.txt` as the benchmark runs them, and checks each
-stage's outputs with the workload's own check. It then prints one
+Run from anywhere in a repository checkout. For each seed, in the order
+given, it writes the workload's inputs with perfbench/workloads.py
+(imported, never edited) into a temporary directory, runs the five stages
+`degrade -> pretrain -> calibrate -> finetune -> evaluate` there, each as a
+child `python3 -m mfcp.cli <stage> --config config.txt` as the benchmark
+runs them, and checks each stage's outputs with the workload's own check.
+It then prints the seed's block: a `# seed <seed>` line, then one
 `<sha256>  <path>` line per file under out/, sorted by path. The parse
 cache out/cache/ is left out: its entries are zip archives stamped with
 the time they were written.
 
-Two checkouts that print the same lines for a seed wrote the same bytes.
-The exit code is 0 when every stage passed, 1 when a stage failed (its
-log goes to standard error) and 2 for an unknown workload.
+Two checkouts that print the same lines for the same seeds wrote the same
+bytes. The exit code is 0 when every stage of every seed passed, 1 at the
+first stage that failed (its seed and log go to standard error) and 2 for
+an unknown workload.
 """
 
 import argparse
@@ -68,7 +70,7 @@ def run_pipeline(wl, seed, workdir):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seed", type=int, nargs="+", required=True)
     args = parser.parse_args(argv)
     sys.path[:0] = [SRC, os.path.join(ROOT, "perfbench")]
     from workloads import WORKLOADS
@@ -77,13 +79,15 @@ def main(argv=None):
         print(f"error: unknown workload {args.workload!r}; choose from {sorted(WORKLOADS)}",
               file=sys.stderr)
         return 2
-    with tempfile.TemporaryDirectory(prefix="mfcp-digests-") as workdir:
-        failure = run_pipeline(WORKLOADS[args.workload], args.seed, workdir)
-        if failure is not None:
-            print(f"error: {failure}", file=sys.stderr)
-            return 1
-        for path, digest in tree_digests(os.path.join(workdir, "out")).items():
-            print(f"{digest}  {path}")
+    for seed in args.seed:
+        with tempfile.TemporaryDirectory(prefix="mfcp-digests-") as workdir:
+            failure = run_pipeline(WORKLOADS[args.workload], seed, workdir)
+            if failure is not None:
+                print(f"error: seed {seed}: {failure}", file=sys.stderr)
+                return 1
+            print(f"# seed {seed}")
+            for path, digest in tree_digests(os.path.join(workdir, "out")).items():
+                print(f"{digest}  {path}")
     return 0
 
 
