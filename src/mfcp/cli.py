@@ -193,6 +193,9 @@ def cmd_degrade(cfg):
     with open(cfg.recipe) as fh:
         recipe = lofi.DegradationRecipe.from_json(fh.read())
     hf = _load_set(cfg, cfg.hf_set)
+    # load_csv reads inf and nan cells; no recipe stage makes them finite
+    if not np.isfinite(hf.fields).all():
+        raise ValueError(f"hf_set {cfg.hf_set}: its fields are not all finite")
     lf, provenance = lofi.apply_recipe(hf, recipe, master_seed=derive_seed(cfg.seed, "degrade"))
     os.makedirs(cfg.out_dir, exist_ok=True)
     out_path = os.path.join(cfg.out_dir, "lf.csv")

@@ -140,11 +140,10 @@ def multi_split_calibrate(x_lf, y_hf, pretrained, n_splits, cal_fraction, delta,
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta!r}")
     n_cal = min(max(int(math.floor(cal_fraction * n + 0.5)), 1), n - 1)
-    # fail before any training if the calibration size cannot support delta
-    if math.ceil((n_cal + 1) * (1.0 - delta)) > n_cal:
-        raise ValueError(
-            f"cal_fraction gives {n_cal} calibration samples, too few for delta={delta}"
-        )
+    # fail before any training on a calibration size too small for the modulation or delta
+    if n_cal < 2 or math.ceil((n_cal + 1) * (1.0 - delta)) > n_cal:
+        for_what = "the modulation, which needs 2" if n_cal < 2 else f"delta={delta}"
+        raise ValueError(f"cal_fraction gives {n_cal} calibration samples, too few for {for_what}")
 
     def run_split(b):
         rng = np.random.default_rng([seed, b])

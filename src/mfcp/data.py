@@ -452,35 +452,20 @@ class NormStats:
             return a.copy()
         return a * self.std[:, None] + self.mean[:, None]
 
-    def to_dict(self):
-        if self.mode == "none":
-            return {"mode": self.mode}
-        return {"mode": self.mode, "mean": self.mean.tolist(), "std": self.std.tolist()}
-
     @classmethod
-    def from_dict(cls, doc, n_nodes):
-        """The NormStats of a `to_dict` record for fields of `n_nodes` nodes;
-        ValueError for any other record (an int past 2**1023 may not fit a float)."""
-        if not isinstance(doc, dict):
-            raise ValueError(f"normalization record must be a mapping, got {doc!r}")
-        mode = doc.get("mode")
-        if mode not in NORM_MODES:
-            raise ValueError(f"unknown normalization mode {mode!r}")
-        if mode == "none":
-            return cls(mode)
-        for key in ("mean", "std"):
-            if not (type(doc.get(key)) is list and len(doc[key]) == n_nodes and all(
-                    type(v) is float or type(v) is int and abs(v) < 2**1023 for v in doc[key])):
-                raise ValueError(f"{key} must be a list of {n_nodes} numbers, one per node")
-        mean, std = (np.array(doc[key], dtype=np.float64) for key in ("mean", "std"))
+    def from_vector(cls, flat, n_nodes):
+        """The per_node_standard NormStats of a 1-D vector holding the mean of
+        each of `n_nodes` nodes, then the std of each; ValueError for a vector
+        of another size or a std below STD_FLOOR."""
+        if flat.shape != (2 * n_nodes,):
+            raise ValueError(f"must hold {2 * n_nodes} values, the mean and then the std of "
+                             f"each of {n_nodes} nodes, not {flat.size}")
+        mean, std = flat[:n_nodes], flat[n_nodes:]
         # compute_norm_stats never writes these; a std of 0 would map every
         # prediction to the mean
-        if not np.isfinite(mean).all():
-            raise ValueError(f"{mode} normalization record needs a finite mean for every node")
-        if not (np.isfinite(std) & (std >= STD_FLOOR)).all():
-            raise ValueError(f"{mode} normalization record needs a finite std >= STD_FLOOR = "
-                             f"{STD_FLOOR} for every node")
-        return cls(mode, mean=mean, std=std)
+        if not (std >= STD_FLOOR).all():
+            raise ValueError(f"needs a std >= STD_FLOOR = {STD_FLOOR} for every node")
+        return cls("per_node_standard", mean=mean, std=std)
 
 
 def compute_norm_stats(fields, mode) -> NormStats:

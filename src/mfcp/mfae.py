@@ -6,6 +6,7 @@ high-fidelity pairs, and trains a fresh up-scaler that bridges the
 dimensionality gap (and corrects fidelity bias even when dimensions match).
 """
 
+import contextlib
 import copy
 import json
 import os
@@ -20,9 +21,10 @@ from .data import NORM_MODES, NormStats, compute_norm_stats
 PHASE_PRETRAINED = "pretrained"
 PHASE_FINE_TUNED = "fine_tuned"
 
-BUNDLE_VERSION = 4
+BUNDLE_VERSION = 5
 
 NETWORKS = ("encoder", "decoder", "upscaler")
+STATS = ("lf_stats", "hf_stats")
 
 # weights in one dense layer: 128 MiB of float64, held several times in training
 MAX_LAYER_WEIGHTS = 2**24
@@ -201,31 +203,41 @@ def predict(model, x_lf):
 
 
 def save_model(model, out_dir, extra=None):
-    """Write each network, encoder, decoder and upscaler (optional), as a
-    {name}.npy of its `nn.parameters` and a {name}.json of its `nn.to_json`,
-    plus meta.json (config, normalization stats, phase) into a directory.
-    `extra` entries (e.g. training provenance) are merged into meta.json."""
+    """Write each network (encoder, decoder, optional upscaler) as a {name}.npy
+    of its `nn.parameters` and a {name}.json of its `nn.to_json`, each record
+    not of mode none (lf_stats, optional hf_stats) as a {name}.npy of its mean
+    then its std, and meta.json: config, phase and the `extra` entries (e.g.
+    training provenance). Optional files not written are removed, as stale."""
     os.makedirs(out_dir, exist_ok=True)
+    vectors = {name: np.concatenate([stats.mean, stats.std]) for name in STATS
+               if (stats := getattr(model, name)) is not None and stats.mode != "none"}
     for name in NETWORKS:
         if (net := getattr(model, name)) is not None:
             with open(os.path.join(out_dir, f"{name}.json"), "w") as fh:
                 fh.write(nn.to_json(net))
-            with open(os.path.join(out_dir, f"{name}.npy"), "wb") as fh:
-                np.save(fh, nn.parameters(net.layers), allow_pickle=False)
-    meta = {
-        "format_version": BUNDLE_VERSION,
-        "phase": model.phase,
-        "config": asdict(model.config),  # nested AdamConfig becomes a dict
-        "lf_stats": model.lf_stats.to_dict() if model.lf_stats else None,
-        "hf_stats": model.hf_stats.to_dict() if model.hf_stats else None,
-    }
-    if extra:
-        meta.update(extra)
+            vectors[name] = nn.parameters(net.layers)
+    for name, flat in vectors.items():
+        with open(os.path.join(out_dir, f"{name}.npy"), "wb") as fh:
+            np.save(fh, flat, allow_pickle=False)
+    for name in _optional_files(model.config, model.phase):
+        if name.partition(".")[0] not in vectors:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, name))
+    meta = {"format_version": BUNDLE_VERSION, "phase": model.phase,
+            "config": asdict(model.config)}  # nested AdamConfig becomes a dict
     with open(os.path.join(out_dir, "meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+        json.dump({**meta, **(extra or {})}, fh, indent=2, sort_keys=True)
 
 
-_META_KEYS = ("format_version", "phase", "config", "lf_stats", "hf_stats")
+def _optional_files(config, phase):
+    """{name: whether the bundle holds it} for each file only some bundles hold."""
+    tuned, normalized = phase == PHASE_FINE_TUNED, config.normalization != "none"
+    return {"upscaler.json": tuned and config.uses_upscaler,
+            "upscaler.npy": tuned and config.uses_upscaler,
+            "lf_stats.npy": normalized, "hf_stats.npy": tuned and normalized}
+
+
+_META_KEYS = ("format_version", "phase", "config")
 
 # field type -> (the JSON types of its values, what they are); a bool is not an int here
 _JSON_TYPES = {int: ((int,), "an int"), float: ((int, float), "a number"), bool: ((bool,), "a bool"),
@@ -294,21 +306,20 @@ def load_model(out_dir) -> MfaeModel:
     phase = meta["phase"]
     if phase not in (PHASE_PRETRAINED, PHASE_FINE_TUNED):
         raise ValueError(f"{meta_path} phase: unknown phase {phase!r}")
-    fine_tuned = phase == PHASE_FINE_TUNED
-    if (meta["hf_stats"] is None) == fine_tuned:
-        raise ValueError(f"{meta_path} hf_stats: must {'not ' if fine_tuned else ''}be null "
-                         f"in a {phase} bundle")
-    lf_stats = _read(f"{meta_path} lf_stats", NormStats.from_dict, meta["lf_stats"], config.d_lf)
-    hf_stats = (_read(f"{meta_path} hf_stats", NormStats.from_dict, meta["hf_stats"], config.d_hf)
-                if fine_tuned else None)
     for key in ("lf_train_names", "hf_train_names"):  # evaluate's leakage check reads them
         if not (type(meta.get(key, [])) is list and all(type(n) is str for n in meta.get(key, []))):
             raise ValueError(f"{meta_path} {key}: must be a list of snapshot names")
-    upath = os.path.join(out_dir, "upscaler.json")
-    want_upscaler = fine_tuned and config.uses_upscaler
-    if os.path.exists(upath) != want_upscaler:
-        raise ValueError(f"{upath}: must {'' if want_upscaler else 'not '}exist in a {phase} "
-                         f"bundle whose config has uses_upscaler = {config.uses_upscaler}")
+    optional = _optional_files(config, phase)
+    for name, want in optional.items():
+        if os.path.exists(path := os.path.join(out_dir, name)) != want:
+            raise ValueError(f"{path}: must {'' if want else 'not '}exist in a {phase} bundle "
+                             f"whose config has uses_upscaler = {config.uses_upscaler} and "
+                             f"normalization = {config.normalization!r}")
+
+    def read_stats(name, n_nodes):
+        npy = os.path.join(out_dir, f"{name}.npy")
+        return (_read(npy, NormStats.from_vector, _read(npy, _load_parameters, npy), n_nodes)
+                if optional[f"{name}.npy"] else NormStats("none"))
 
     def read_net(name):
         # the config's widths over {name}.npy; {name}.json must be their nn.to_json
@@ -321,7 +332,8 @@ def load_model(out_dir) -> MfaeModel:
                 raise ValueError(f"{path}: must read {want}, the layers of the config")
         return net
 
-    upscaler = read_net("upscaler") if want_upscaler else None
+    upscaler = read_net("upscaler") if optional["upscaler.json"] else None
+    hf_stats = read_stats("hf_stats", config.d_hf) if phase == PHASE_FINE_TUNED else None
     return MfaeModel(config, read_net("encoder"), read_net("decoder"), upscaler, phase,
-                     lf_stats, hf_stats,
+                     read_stats("lf_stats", config.d_lf), hf_stats,
                      provenance={k: v for k, v in meta.items() if k not in _META_KEYS})

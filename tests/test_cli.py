@@ -133,6 +133,21 @@ def test_degrade_refuses_a_stage_that_overflows_finite_input(tmp_path, capsys, s
     assert not (tmp_path / "out" / "lf.csv").exists()
 
 
+@pytest.mark.parametrize("stages", [[], [{"kind": "fps", "m": 5, "seed": 1}]],
+                         ids=["no-stage", "fps"])
+def test_degrade_refuses_non_finite_hf_input_before_any_stage(tmp_path, capsys, stages):
+    hf = make_pressure_set(8, 10, seed=2)
+    hf.fields[3, 4] = math.inf
+    save_csv(hf, tmp_path / "hf.csv")
+    (tmp_path / "recipe.json").write_text(json.dumps({"stages": stages}))
+    cfg = PipelineConfig(hf_set=str(tmp_path / "hf.csv"), recipe=str(tmp_path / "recipe.json"),
+                         out_dir=str(tmp_path / "out"))
+    (tmp_path / "c.txt").write_text(dump_config(cfg))
+    assert cli.main(["degrade", "--config", str(tmp_path / "c.txt")]) == 2
+    assert capsys.readouterr().err == f"error: hf_set {cfg.hf_set}: its fields are not all finite\n"
+    assert not (tmp_path / "out" / "lf.csv").exists()
+
+
 @pytest.mark.parametrize("line, message", [
     ("patience = 0", "config key patience: must be >= 1, got 0"),
     ("patience = -1", "config key patience: must be >= 1, got -1"),
@@ -587,63 +602,22 @@ def edit_adam(**values):
     return lambda meta, _: meta["config"]["adam"].update(values)
 
 
-META_KEYS = "['format_version', 'phase', 'config', 'lf_stats', 'hf_stats']"
-
-
-@pytest.mark.parametrize("edit, message", [
-    (edit_config(bogus=1), "{meta} config: unknown key(s) ['bogus'], missing key(s) []"),
-    (edit_config(adam=5), "{meta} config: adam must be a mapping, got 5"),
-    (lambda meta, _: meta["lf_stats"].update(mode="bogus"),
-     "{meta} lf_stats: unknown normalization mode 'bogus'"),
-    (lambda meta, _: [1], "{meta}: must be a mapping with the keys " + META_KEYS),
-    (edit_config(latent_dim="3"), "{meta} config: latent_dim must be an int, got '3'"),
-    (edit_config(latent_dim=True), "{meta} config: latent_dim must be an int, got True"),
-    (edit_config(encoder_widths="4"),
-     "{meta} config: encoder_widths must be a list of ints, got '4'"),
-    (edit_config(decoder_widths=[10.0]),
-     "{meta} config: decoder_widths must be a list of ints, got [10.0]"),
-    (edit_config(upscaler_hidden="18"), "{meta} config: upscaler_hidden must be an int, got '18'"),
-    (edit_config(force_adapter=0), "{meta} config: force_adapter must be a bool, got 0"),
-    (lambda meta, _: meta.update(format_version=1),
-     "{meta} format_version: unsupported bundle version 1"),
-    (edit_config(normalization=1), "{meta} config: normalization must be a string, got 1"),
-    (edit_adam(lr="1"), "{meta} config: adam lr must be a number, got '1'"),
-    (edit_adam(eps=False), "{meta} config: adam eps must be a number, got False"),
-    (edit_adam(beta1=1.5), "{meta} config: adam beta1 must be >= 0 and < 1, got 1.5"),
-    (edit_adam(beta2=1000000), "{meta} config: adam beta2 must be >= 0 and < 1, got 1000000"),
-    (edit_adam(lr=float("nan")), "{meta} config: adam lr must be > 0, got nan"),
-    (edit_adam(eps=0), "{meta} config: adam eps must be > 0, got 0"),
-    (edit_adam(lr=10**400), f"{{meta}} config: adam lr must fit in a float, got {10**400}"),
-    (lambda meta, _: meta.update(lf_stats=5),
-     "{meta} lf_stats: normalization record must be a mapping, got 5"),
-    (lambda meta, _: meta.update(hf_stats=[]),
-     "{meta} hf_stats: must be null in a pretrained bundle"),
-    (edit_config(d_lf=10**400), f"{{meta}} config: a {10**400} x 10 layer has {10**401} weights, "
-                                f"more than MAX_LAYER_WEIGHTS = {mfae.MAX_LAYER_WEIGHTS}"),
-], ids=["unknown-config-key", "adam-not-a-mapping", "unknown-norm-mode", "meta-not-a-mapping",
-        "int-as-string", "int-as-bool", "widths-as-string", "widths-of-floats",
-        "upscaler-hidden-as-string", "force-adapter-as-int", "version-1-bundle",
-        "normalization-as-int", "adam-lr-as-string", "adam-eps-as-bool", "adam-beta1-above-1",
-        "adam-beta2-a-huge-int", "adam-lr-nan", "adam-eps-zero", "adam-lr-a-huge-int",
-        "lf-stats-as-int", "hf-stats-as-list", "d-lf-past-the-float-range"])
-def test_malformed_bundle_meta_exits_2(tmp_path, capsys, pipeline, edit, message):
-    code, err, bundle_dir = run_on_edited_bundle(tmp_path, capsys, pipeline,
-                                                 "model_pretrained", edit)
-    assert code == 2
-    assert err == f"error: {message.format(meta=os.path.join(bundle_dir, 'meta.json'))}\n"
-
-
-def drop_lf_stats_key(key):
-    def edit(meta, _):
-        del meta["lf_stats"][key]
+def copy_from_final(*names):
+    """An edit that copies files `names` of model_final into the bundle."""
+    def edit(meta, bundle_dir):
+        import shutil
+        for name in names:
+            shutil.copy(os.path.join(os.path.dirname(bundle_dir), "model_final", name),
+                        os.path.join(bundle_dir, name))
     return edit
 
 
-def copy_upscaler(meta, bundle_dir):
-    import shutil
-    for name in ("upscaler.json", "upscaler.npy"):
-        shutil.copy(os.path.join(os.path.dirname(bundle_dir), "model_final", name),
-                    os.path.join(bundle_dir, name))
+def remove(*names):
+    """An edit that deletes files `names` of the bundle."""
+    def edit(meta, bundle_dir):
+        for name in names:
+            os.remove(os.path.join(bundle_dir, name))
+    return edit
 
 
 def edit_net(name, change):
@@ -659,8 +633,9 @@ def edit_net(name, change):
 
 
 def edit_npy(name, change):
-    """An edit that rewrites the parameter vector of network `name` as the
-    .npy of the array `change(flat)` returns, or with the bytes it returns."""
+    """An edit that rewrites the vector {name}.npy of the bundle (a network's
+    parameters or a normalization record) as the .npy of the array
+    `change(flat)` returns, or with the bytes it returns."""
     def edit(meta, bundle_dir):
         path = os.path.join(bundle_dir, f"{name}.npy")
         new = change(np.load(path))
@@ -702,8 +677,76 @@ def write_text(name, text):
     return edit
 
 
-STD_RULE = ("per_node_standard normalization record needs a finite std >= STD_FLOOR = 1e-08 "
-            "for every node")
+def bundle_paths(bundle_dir):
+    """The path of each file of a bundle, by name: {meta}, {encoder} and
+    {encoder_npy} for meta.json, encoder.json and encoder.npy, {lf_stats} for
+    lf_stats.npy, and so on."""
+    paths = {name: os.path.join(bundle_dir, f"{name}.json")
+             for name in ("meta", "encoder", "decoder", "upscaler")}
+    paths.update({f"{name}_npy": os.path.join(bundle_dir, f"{name}.npy")
+                  for name in ("encoder", "decoder", "upscaler")})
+    paths.update({name: os.path.join(bundle_dir, f"{name}.npy") for name in mfae.STATS})
+    return paths
+
+
+META_KEYS = "['format_version', 'phase', 'config']"
+NPY_RULE = "must hold a 1-D float64 array, not "
+PICKLE_RULE = "Array can't be memory-mapped: Python objects in dtype."
+
+
+@pytest.mark.parametrize("edit, message", [
+    (edit_config(bogus=1), "{meta} config: unknown key(s) ['bogus'], missing key(s) []"),
+    (edit_config(adam=5), "{meta} config: adam must be a mapping, got 5"),
+    (edit_config(normalization="bogus"), "{meta} config: unknown normalization mode 'bogus'"),
+    (lambda meta, _: [1], "{meta}: must be a mapping with the keys " + META_KEYS),
+    (edit_config(latent_dim="3"), "{meta} config: latent_dim must be an int, got '3'"),
+    (edit_config(latent_dim=True), "{meta} config: latent_dim must be an int, got True"),
+    (edit_config(encoder_widths="4"),
+     "{meta} config: encoder_widths must be a list of ints, got '4'"),
+    (edit_config(decoder_widths=[10.0]),
+     "{meta} config: decoder_widths must be a list of ints, got [10.0]"),
+    (edit_config(upscaler_hidden="18"), "{meta} config: upscaler_hidden must be an int, got '18'"),
+    (edit_config(force_adapter=0), "{meta} config: force_adapter must be a bool, got 0"),
+    (lambda meta, _: meta.update(format_version=1),
+     "{meta} format_version: unsupported bundle version 1"),
+    (lambda meta, _: meta.update(format_version=4),
+     "{meta} format_version: unsupported bundle version 4"),
+    (edit_config(normalization=1), "{meta} config: normalization must be a string, got 1"),
+    (edit_adam(lr="1"), "{meta} config: adam lr must be a number, got '1'"),
+    (edit_adam(eps=False), "{meta} config: adam eps must be a number, got False"),
+    (edit_adam(beta1=1.5), "{meta} config: adam beta1 must be >= 0 and < 1, got 1.5"),
+    (edit_adam(beta2=1000000), "{meta} config: adam beta2 must be >= 0 and < 1, got 1000000"),
+    (edit_adam(lr=float("nan")), "{meta} config: adam lr must be > 0, got nan"),
+    (edit_adam(eps=0), "{meta} config: adam eps must be > 0, got 0"),
+    (edit_adam(lr=10**400), f"{{meta}} config: adam lr must fit in a float, got {10**400}"),
+    (edit_npy("lf_stats", lambda flat: flat.round().astype(np.int64)),
+     "{lf_stats}: " + NPY_RULE + "1-D <i8"),
+    (edit_config(d_lf=10**400), f"{{meta}} config: a {10**400} x 10 layer has {10**401} weights, "
+                                f"more than MAX_LAYER_WEIGHTS = {mfae.MAX_LAYER_WEIGHTS}"),
+], ids=["unknown-config-key", "adam-not-a-mapping", "unknown-norm-mode", "meta-not-a-mapping",
+        "int-as-string", "int-as-bool", "widths-as-string", "widths-of-floats",
+        "upscaler-hidden-as-string", "force-adapter-as-int", "version-1-bundle", "version-4-bundle",
+        "normalization-as-int", "adam-lr-as-string", "adam-eps-as-bool", "adam-beta1-above-1",
+        "adam-beta2-a-huge-int", "adam-lr-nan", "adam-eps-zero", "adam-lr-a-huge-int",
+        "lf-stats-as-int", "d-lf-past-the-float-range"])
+def test_malformed_bundle_meta_exits_2(tmp_path, capsys, pipeline, edit, message):
+    code, err, bundle_dir = run_on_edited_bundle(tmp_path, capsys, pipeline,
+                                                 "model_pretrained", edit)
+    assert code == 2
+    assert err == f"error: {message.format(**bundle_paths(bundle_dir))}\n"
+
+
+STD_RULE = "needs a std >= STD_FLOOR = 1e-08 for every node"
+
+
+def stats_size_rule(n_nodes, size):
+    return (f"must hold {2 * n_nodes} values, the mean and then the std of each of {n_nodes} "
+            f"nodes, not {size}")
+
+
+def presence_rule(want, phase, normalization="per_node_standard"):
+    return (f"must {'' if want else 'not '}exist in a {phase} bundle whose config has "
+            f"uses_upscaler = True and normalization = {normalization!r}")
 
 
 def header_rule(name, dims):
@@ -719,46 +762,51 @@ def header_rule(name, dims):
 ENCODER_RULE = header_rule("encoder", [12, 10, 3])
 DECODER_RULE = header_rule("decoder", [3, 10, 12])
 UPSCALER_RULE = header_rule("upscaler", [12, 18, 24])
-NPY_RULE = "must hold a 1-D float64 array, not "
 
 
 @pytest.mark.parametrize("bundle, edit, message", [
-    ("model_pretrained", drop_lf_stats_key("mean"),
-     "{meta} lf_stats: mean must be a list of 12 numbers, one per node"),
-    ("model_pretrained", drop_lf_stats_key("std"),
-     "{meta} lf_stats: std must be a list of 12 numbers, one per node"),
-    ("model_pretrained", lambda meta, _: meta["lf_stats"].update(mean=[0.0], std=[1.0]),
-     "{meta} lf_stats: mean must be a list of 12 numbers, one per node"),
-    ("model_pretrained", lambda meta, _: meta["lf_stats"].update(std={}),
-     "{meta} lf_stats: std must be a list of 12 numbers, one per node"),
-    ("model_pretrained", lambda meta, _: meta["lf_stats"]["mean"].__setitem__(0, "0"),
-     "{meta} lf_stats: mean must be a list of 12 numbers, one per node"),
-    ("model_final", lambda meta, _: meta["hf_stats"].update(mean=[0.0]),
-     "{meta} hf_stats: mean must be a list of 24 numbers, one per node"),
-    ("model_final", lambda meta, _: meta["hf_stats"]["std"].__setitem__(0, 0.0),
-     "{meta} hf_stats: " + STD_RULE),
-    ("model_final", lambda meta, _: meta["hf_stats"]["std"].__setitem__(3, -1.0),
-     "{meta} hf_stats: " + STD_RULE),
-    ("model_final", lambda meta, _: meta["hf_stats"]["std"].__setitem__(5, 1e-9),
-     "{meta} hf_stats: " + STD_RULE),
-    ("model_pretrained", lambda meta, _: meta["lf_stats"]["std"].__setitem__(0, math.inf),
-     "{meta} lf_stats: " + STD_RULE),
-    ("model_pretrained", lambda meta, _: meta["lf_stats"]["mean"].__setitem__(2, math.nan),
-     "{meta} lf_stats: per_node_standard normalization record needs a finite mean for every node"),
+    # lf_stats.npy holds the 12 LF means, then the 12 LF stds; hf_stats.npy
+    # the 24 HF means, then the 24 HF stds
+    ("model_pretrained", edit_npy("lf_stats", lambda flat: flat[12:]),
+     "{lf_stats}: " + stats_size_rule(12, 12)),
+    ("model_pretrained", edit_npy("lf_stats", lambda flat: flat[:12]),
+     "{lf_stats}: " + stats_size_rule(12, 12)),
+    ("model_pretrained", edit_npy("lf_stats", lambda flat: np.array([0.0, 1.0])),
+     "{lf_stats}: " + stats_size_rule(12, 2)),
+    ("model_pretrained", edit_npy("lf_stats", lambda flat: np.array({"std": flat[12:]})),
+     "{lf_stats}: " + PICKLE_RULE),
+    ("model_pretrained", edit_npy("lf_stats", lambda flat: flat.astype(str)),
+     "{lf_stats}: " + NPY_RULE + "1-D <U32"),
+    ("model_final", edit_npy("hf_stats", lambda flat: flat[23:]),
+     "{hf_stats}: " + stats_size_rule(24, 25)),
+    ("model_final", edit_npy("hf_stats", set_item(24, 0.0)), "{hf_stats}: " + STD_RULE),
+    ("model_final", edit_npy("hf_stats", set_item(27, -1.0)), "{hf_stats}: " + STD_RULE),
+    ("model_final", edit_npy("hf_stats", set_item(29, 1e-9)), "{hf_stats}: " + STD_RULE),
+    ("model_pretrained", edit_npy("lf_stats", set_item(12, math.inf)),
+     "{lf_stats}: holds a non-finite parameter"),
+    ("model_pretrained", edit_npy("lf_stats", set_item(2, math.nan)),
+     "{lf_stats}: holds a non-finite parameter"),
     ("model_pretrained", lambda meta, _: meta.update(phase="bogus"),
      "{meta} phase: unknown phase 'bogus'"),
-    ("model_final", lambda meta, _: meta.update(hf_stats=None),
-     "{meta} hf_stats: must not be null in a fine_tuned bundle"),
-    ("model_pretrained", lambda meta, _: meta.update(hf_stats={"mode": "none"}),
-     "{meta} hf_stats: must be null in a pretrained bundle"),
-    ("model_pretrained", lambda meta, _: meta.update(lf_stats=None),
-     "{meta} lf_stats: normalization record must be a mapping, got None"),
-    ("model_final", lambda meta, _: meta.update(hf_stats=[]),
-     "{meta} hf_stats: normalization record must be a mapping, got []"),
-    ("model_final", lambda meta, bundle_dir: os.remove(os.path.join(bundle_dir, "upscaler.json")),
-     "{upscaler}: must exist in a fine_tuned bundle whose config has uses_upscaler = True"),
-    ("model_pretrained", copy_upscaler,
-     "{upscaler}: must not exist in a pretrained bundle whose config has uses_upscaler = True"),
+    ("model_final", remove("hf_stats.npy"), "{hf_stats}: " + presence_rule(True, "fine_tuned")),
+    ("model_pretrained", copy_from_final("hf_stats.npy"),
+     "{hf_stats}: " + presence_rule(False, "pretrained")),
+    ("model_pretrained", remove("lf_stats.npy"),
+     "{lf_stats}: " + presence_rule(True, "pretrained")),
+    ("model_final", edit_npy("hf_stats", lambda flat: np.array(list(flat), dtype=object)),
+     "{hf_stats}: " + PICKLE_RULE),
+    # the stats files of a per_node_standard bundle under a config of mode
+    # none, and a bundle without them under a per_node_standard config
+    ("model_pretrained", edit_config(normalization="none"),
+     "{lf_stats}: " + presence_rule(False, "pretrained", "none")),
+    ("model_final", edit_config(normalization="none"),
+     "{lf_stats}: " + presence_rule(False, "fine_tuned", "none")),
+    ("model_final", remove("lf_stats.npy", "hf_stats.npy"),
+     "{lf_stats}: " + presence_rule(True, "fine_tuned")),
+    ("model_final", remove("upscaler.json"),
+     "{upscaler}: " + presence_rule(True, "fine_tuned")),
+    ("model_pretrained", copy_from_final("upscaler.json", "upscaler.npy"),
+     "{upscaler}: " + presence_rule(False, "pretrained")),
     ("model_pretrained", edit_net("encoder", lambda doc: [1]), ENCODER_RULE),
     # the keys of a version-3 header, but its trainable
     ("model_pretrained",
@@ -779,7 +827,7 @@ NPY_RULE = "must hold a 1-D float64 array, not "
     ("model_pretrained",
      edit_net("encoder", lambda doc: doc["layers"][0].update(activation="identity")),
      ENCODER_RULE),
-    ("model_final", lambda meta, bundle_dir: os.remove(os.path.join(bundle_dir, "encoder.json")),
+    ("model_final", remove("encoder.json"),
      "[Errno 2] No such file or directory: {encoder!r}"),
     ("model_final", edit_npy("encoder", set_item(7, math.nan)),
      "{encoder_npy}: holds a non-finite parameter"),
@@ -808,7 +856,7 @@ NPY_RULE = "must hold a 1-D float64 array, not "
      "'<' not supported between instances of 'bytes' and 'str'"),
     ("model_final", edit_npy("decoder", lambda flat: b""),
      "{decoder_npy}: EOF: reading magic string, expected 8 bytes got 0"),
-    ("model_final", lambda meta, bundle_dir: os.remove(os.path.join(bundle_dir, "decoder.npy")),
+    ("model_final", remove("decoder.npy"),
      "[Errno 2] No such file or directory: {decoder_npy!r}"),
     ("model_final", write_text("encoder.json", "{"), ENCODER_RULE),
     ("model_pretrained", lambda meta, _: "",
@@ -820,7 +868,8 @@ NPY_RULE = "must hold a 1-D float64 array, not "
         "hf-stats-std-zero", "hf-stats-std-negative", "hf-stats-std-below-the-floor",
         "lf-stats-std-infinite", "lf-stats-mean-nan", "unknown-phase", "fine-tuned-without-hf-stats",
         "hf-stats-without-fine-tuning", "no-lf-stats", "hf-stats-as-list",
-        "fine-tuned-without-upscaler", "pretrained-with-upscaler", "network-not-a-mapping",
+        "pretrained-stats-under-mode-none", "fine-tuned-stats-under-mode-none",
+        "no-stats-under-mode-per-node-standard", "fine-tuned-without-upscaler", "pretrained-with-upscaler", "network-not-a-mapping",
         "network-without-trainable", "trainable-an-int", "layer-an-int", "layer-in-a-mapping",
         "layer-out-zero", "layers-and-vector-of-other-sizes", "frozen-decoder",
         "encoder-of-other-widths", "encoder-json-of-other-activation", "encoder-json-missing",
@@ -832,24 +881,23 @@ NPY_RULE = "must hold a 1-D float64 array, not "
 def test_inconsistent_bundle_exits_2(tmp_path, capsys, pipeline, bundle, edit, message):
     code, err, bundle_dir = run_on_edited_bundle(tmp_path, capsys, pipeline, bundle, edit)
     assert code == 2
-    paths = {name: os.path.join(bundle_dir, f"{name}.json")
-             for name in ("meta", "encoder", "decoder", "upscaler")}
-    paths.update({f"{name}_npy": os.path.join(bundle_dir, f"{name}.npy")
-                  for name in ("encoder", "decoder", "upscaler")})
-    assert err == "error: " + message.format(**paths) + "\n"
+    assert err == "error: " + message.format(**bundle_paths(bundle_dir)) + "\n"
 
 
-@pytest.mark.parametrize("key, value, message", [
-    ("score_kind", "bogus", "unknown score kind 'bogus'"),
-    ("delta", "1.5", "delta must be in (0, 1), got 1.5"),
-    ("delta", "0", "delta must be in (0, 1), got 0.0"),
-    ("delta", "nan", "delta must be in (0, 1), got nan"),
-], ids=["score-kind-bogus", "delta-above-1", "delta-zero", "delta-nan"])
+@pytest.mark.parametrize("lines, message", [
+    ("score_kind = bogus", "unknown score kind 'bogus'"),
+    ("delta = 1.5", "delta must be in (0, 1), got 1.5"),
+    ("delta = 0", "delta must be in (0, 1), got 0.0"),
+    ("delta = nan", "delta must be in (0, 1), got nan"),
+    # one of the 16 training pairs: the rank rule for delta = 0.5 passes
+    ("cal_fraction = 0.05\ndelta = 0.5",
+     "cal_fraction gives 1 calibration samples, too few for the modulation, which needs 2"),
+], ids=["score-kind-bogus", "delta-above-1", "delta-zero", "delta-nan", "one-calibration-sample"])
 def test_bad_score_kind_or_delta_exits_2_before_any_split_trains(tmp_path, capsys, monkeypatch,
-                                                                 pipeline, key, value, message):
+                                                                 pipeline, lines, message):
     import shutil
     root, cfg, _ = pipeline
-    bad = parse_config(dump_config(cfg) + f"{key} = {value}\n")
+    bad = parse_config(dump_config(cfg) + lines + "\n")
     bad.out_dir = str(tmp_path / "out")
     shutil.copytree(root / "out", bad.out_dir)
     (tmp_path / "bad.txt").write_text(dump_config(bad))
@@ -928,6 +976,26 @@ def test_stages_rerun_out_of_order_over_one_out_dir_keep_its_bytes(tmp_path):
                 "finetune", "evaluate"):
         assert cli.main([cmd, "--config", str(cfg_path)]) == 0, f"{cmd} failed"
     assert tree_digests(tmp_path / "out") == first
+
+
+def test_reruns_that_drop_an_optional_bundle_file_leave_bundles_that_load(tmp_path):
+    """The chain re-run in one out/ with the up-scaler switched off, then with
+    normalization none: each save removes the files of the bundle before it
+    that its own bundle does not hold, so evaluate loads model_final."""
+    save_csv(make_pressure_set(60, 24, seed=1), tmp_path / "hf.csv")
+    (tmp_path / "recipe.json").write_text(DegradationRecipe([PodTruncate(energy=0.9)]).to_json())
+    cfg = dataclasses.replace(chain_config(tmp_path), d_lf=24, force_adapter=True,
+                              pretrain_epochs=20, max_finetune_epochs=10)
+    final = tmp_path / "out" / "model_final"
+    for change, files in [({}, {"upscaler.json", "upscaler.npy", "lf_stats.npy", "hf_stats.npy"}),
+                          ({"force_adapter": False}, {"lf_stats.npy", "hf_stats.npy"}),
+                          ({"normalization": "none"}, set())]:
+        cfg = dataclasses.replace(cfg, **change)
+        (tmp_path / "config.txt").write_text(dump_config(cfg))
+        run_chain(tmp_path, tmp_path / "config.txt")
+        assert set(os.listdir(final)) == files | {"meta.json", "encoder.json", "encoder.npy",
+                                                  "decoder.json", "decoder.npy"}
+    assert "lf_stats.npy" not in os.listdir(tmp_path / "out" / "model_pretrained")
 
 
 # --- fuzzed config documents and recipes ------------------------------------------
@@ -1099,9 +1167,10 @@ def load_resave_load(root, work):
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_fuzzed_parameter_vector_loads_or_raises_value_error(tmp_path_factory, data):
-    """A network's .npy cut short, with a byte flipped, bytes appended or
-    written over, or saved again as another dtype, shape or byte order: the
-    bundle loads or raises ValueError, never EOFError, TypeError or OSError."""
+    """A network's or a normalization record's .npy cut short, with a byte
+    flipped, bytes appended or written over, or saved again as another dtype,
+    shape or byte order: the bundle loads or raises ValueError, never
+    EOFError, TypeError or OSError."""
     root, work = fuzz_work_bundle(tmp_path_factory, data)
     path = work / data.draw(st.sampled_from(sorted(n for n in os.listdir(work)
                                                    if n.endswith(".npy"))))

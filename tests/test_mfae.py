@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -301,6 +302,50 @@ def test_load_model_refuses_an_upscaler_the_config_does_not_use(tmp_path):
     (tmp_path / "meta.json").write_text(json.dumps(meta))
     with pytest.raises(ValueError, match="must not exist in a fine_tuned bundle whose config "
                                          "has uses_upscaler = False"):
+        mfae.load_model(tmp_path)
+
+
+def bits(a):
+    return np.asarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("mode", ["per_node_standard", "none"])
+def test_bundle_stats_round_trip_bit_exactly(tmp_path, mode):
+    lf, hf, _ = sinusoid_pair_benchmark(20, 16, 24, seed=15)
+    model = mfae.pretrain(small_config(pretrain_epochs=5, normalization=mode), lf)
+    mfae.save_model(model, tmp_path / "pretrained")
+    mfae.fine_tune(model, lf, hf, epochs=2)
+    mfae.save_model(model, tmp_path / "fine_tuned")
+    stats_files = {"lf_stats.npy", "hf_stats.npy"} & set(os.listdir(tmp_path / "fine_tuned"))
+    assert stats_files == (set() if mode == "none" else {"lf_stats.npy", "hf_stats.npy"})
+    assert "hf_stats.npy" not in os.listdir(tmp_path / "pretrained")
+    meta = json.loads((tmp_path / "fine_tuned" / "meta.json").read_text())
+    assert sorted(meta) == ["config", "format_version", "phase"]
+    loaded = mfae.load_model(tmp_path / "fine_tuned")
+    assert mfae.load_model(tmp_path / "pretrained").hf_stats is None
+    for name in mfae.STATS:
+        want, got = getattr(model, name), getattr(loaded, name)
+        assert got.mode == want.mode == mode
+        if mode != "none":
+            assert np.array_equal(bits(got.mean), bits(want.mean))
+            assert np.array_equal(bits(got.std), bits(want.std))
+            assert np.array_equal(np.load(tmp_path / "fine_tuned" / f"{name}.npy"),
+                                  np.concatenate([want.mean, want.std]))
+
+
+@pytest.mark.parametrize("saved, edited", [("per_node_standard", "none"),
+                                           ("none", "per_node_standard")])
+def test_load_model_takes_the_normalization_mode_from_the_config_only(tmp_path, saved, edited):
+    lf, _, _ = sinusoid_pair_benchmark(20, 16, 24, seed=15)
+    mfae.save_model(mfae.pretrain(small_config(pretrain_epochs=5, normalization=saved), lf),
+                    tmp_path)
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    meta["config"]["normalization"] = edited
+    (tmp_path / "meta.json").write_text(json.dumps(meta))
+    want = "" if edited == "per_node_standard" else "not "
+    with pytest.raises(ValueError, match=f"lf_stats.npy: must {want}exist in a pretrained "
+                                         f"bundle whose config has uses_upscaler = True and "
+                                         f"normalization = '{edited}'"):
         mfae.load_model(tmp_path)
 
 

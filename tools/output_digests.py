@@ -8,10 +8,11 @@ given, it writes the workload's inputs with perfbench/workloads.py
 `degrade -> pretrain -> calibrate -> finetune -> evaluate` there, each as a
 child `python3 -m mfcp.cli <stage> --config config.txt` as the benchmark
 runs them, and checks each stage's outputs with the workload's own check.
-It then prints the seed's block: a `# seed <seed>` line, then one
-`<sha256>  <path>` line per file under out/, sorted by path. The parse
-cache out/cache/ is left out: its entries are zip archives stamped with
-the time they were written.
+It then prints the seed's block: a `# seed <seed>  OPENBLAS_NUM_THREADS=<n>`
+line, with the value the children ran under (`unset` when it is not set:
+the bytes depend on it, see README), then one `<sha256>  <path>` line per
+file under out/, sorted by path. The parse cache out/cache/ is left out:
+its entries are zip archives stamped with the time they were written.
 
 Two checkouts that print the same lines for the same seeds wrote the same
 bytes. The exit code is 0 when every stage of every seed passed, 1 at the
@@ -85,7 +86,8 @@ def main(argv=None):
             if failure is not None:
                 print(f"error: seed {seed}: {failure}", file=sys.stderr)
                 return 1
-            print(f"# seed {seed}")
+            threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+            print(f"# seed {seed}  OPENBLAS_NUM_THREADS={threads}")
             for path, digest in tree_digests(os.path.join(workdir, "out")).items():
                 print(f"{digest}  {path}")
     return 0
