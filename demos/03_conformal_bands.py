@@ -62,8 +62,10 @@ print(f"\nRMS-normalized bands are {w_nl2 / w_linf:.0%} the width of max-normali
       "bands, at a small cost in per-node coverage")
 
 # the single-split textbook variant, for contrast: one fixed calibration set
-# scored with the last fine-tuned model
+# scored with the last fine-tuned model, by the split rule of the multi-split
+# protocol (modulation, scores, critical quantile)
 res_cal = (hf[:, 80:100] - mfae.predict(final, lf[:, 80:100])).T
-single = conformal.calibrate(res_cal, delta=0.1, kind="linf")
-print(f"\nsingle-split critical quantile {single.critical_quantile:.2f} vs "
+s = conformal.modulation(res_cal)
+k_s = conformal.critical_quantile(conformal.scores(res_cal, s, "linf"), delta=0.1)
+print(f"\nsingle-split critical quantile {k_s:.2f} vs "
       f"median-aggregated radii from {len(results['linf'][0].splits)} splits")

@@ -141,27 +141,41 @@ def _mfae_config(cfg) -> mfae.MfaeConfig:
     )
 
 
-def _read_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+# stage input key -> (test, the rule it states), as _VALUE_RULES; a bool is not an int here
+_ARTIFACT_RULES = {
+    **dict.fromkeys(("train_names", "test_names", "complementary_names"), (
+        lambda v: type(v) is list and all(type(n) is str for n in v), "a list of snapshot names")),
+    "E_star": (lambda v: type(v) is int and v >= 0, "an int >= 0"),
+    "R_star": (lambda v: type(v) is list and all(
+        type(r) in (int, float) and 0 <= r <= sys.float_info.max for r in v),
+        "a list of finite numbers >= 0"),
+}
+
+
+def _read_artifact(path, *keys):
+    """The JSON mapping at `path`, a stage's input; ValueError naming the
+    file and the key when one of `keys` is missing or breaks its rule."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: must be a mapping")
+    for key in keys:
+        if key not in doc or not _ARTIFACT_RULES[key][0](doc[key]):
+            raise ValueError(f"{path} {key}: must be {_ARTIFACT_RULES[key][1]}")
+    return doc
 
 
 def _write_json(path, doc):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         # NumPy arrays and scalars are written as their Python values
         json.dump(doc, fh, indent=2, sort_keys=True, default=lambda a: a.tolist())
         fh.write("\n")
 
 
 def _write_history(path, losses):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("epoch,loss\n")
-        for i, loss in enumerate(losses, start=1):
-            fh.write(f"{i},{loss:.17g}\n")
-
-
-def _split_path(cfg):
-    return os.path.join(cfg.out_dir, "split.json")
+        _write_rows(fh, range(1, len(losses) + 1), np.reshape(losses, (-1, 1)), "\n")
 
 
 def _load_set(cfg, path):
@@ -174,7 +188,8 @@ def _stage_inputs(cfg, bundle):
     `bundle` under out_dir, the LF and HF sets and the split plan."""
     model = mfae.load_model(os.path.join(cfg.out_dir, bundle))
     return (model, _load_set(cfg, cfg.lf_set), _load_set(cfg, cfg.hf_set),
-            _read_json(_split_path(cfg)))
+            _read_artifact(os.path.join(cfg.out_dir, "split.json"), "train_names",
+                           "test_names", "complementary_names"))
 
 
 def _paired_matrices(lf, hf, names):
@@ -190,7 +205,7 @@ def _paired_matrices(lf, hf, names):
 def cmd_degrade(cfg):
     if not cfg.recipe:
         raise ValueError("degrade needs a 'recipe' path in the config")
-    with open(cfg.recipe) as fh:
+    with open(cfg.recipe, encoding="utf-8") as fh:
         recipe = lofi.DegradationRecipe.from_json(fh.read())
     hf = _load_set(cfg, cfg.hf_set)
     # load_csv reads inf and nan cells; no recipe stage makes them finite
@@ -212,7 +227,7 @@ def cmd_pretrain(cfg):
     seed = derive_seed(cfg.seed, "split")
     plan = stratified_split(hf, cfg.hf_fraction, cfg.test_fraction, seed)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    _write_json(_split_path(cfg), {
+    _write_json(os.path.join(cfg.out_dir, "split.json"), {
         "train_idx": plan.train_idx,
         "test_idx": plan.test_idx,
         "complementary_idx": plan.complementary_idx,
@@ -276,10 +291,10 @@ def cmd_calibrate(cfg):
 
 
 def cmd_finetune(cfg):
-    calibration = _read_json(os.path.join(cfg.out_dir, "calibration.json"))
+    calibration = _read_artifact(os.path.join(cfg.out_dir, "calibration.json"), "E_star")
     model, lf, hf, split = _stage_inputs(cfg, "model_pretrained")
     x, y = _paired_matrices(lf, hf, split["train_names"])
-    e_star = int(calibration["E_star"])
+    e_star = calibration["E_star"]
     result = mfae.fine_tune(model, x, y, epochs=e_star, seed=derive_seed(cfg.seed, "finetune"))
     bundle = os.path.join(cfg.out_dir, "model_final")
     meta_extra = {
@@ -319,7 +334,7 @@ def _evaluate_subset(model, radius, lf, hf, names):
 
 
 def cmd_evaluate(cfg):
-    calibration = _read_json(os.path.join(cfg.out_dir, "calibration.json"))
+    calibration = _read_artifact(os.path.join(cfg.out_dir, "calibration.json"), "R_star")
     model, lf, hf, split = _stage_inputs(cfg, "model_final")
     test_names = split["test_names"]
     _leakage_check(model.provenance, test_names)
@@ -336,7 +351,7 @@ def cmd_evaluate(cfg):
         "test": test_report,
     }
     lf_names = set(lf.names)
-    comp_names = [n for n in split.get("complementary_names", []) if n in lf_names]
+    comp_names = [n for n in split["complementary_names"] if n in lf_names]
     if comp_names:
         *_, comp_report = _evaluate_subset(model, radius, lf, hf, comp_names)
         report["complementary_test"] = comp_report
@@ -345,7 +360,7 @@ def cmd_evaluate(cfg):
     os.makedirs(pred_dir, exist_ok=True)
     heads = _row_heads(hf.coords[:, :1])  # node,x: the same in every file
     for j, name in enumerate(test_names):
-        with open(os.path.join(pred_dir, f"{name}.csv"), "w") as fh:
+        with open(os.path.join(pred_dir, f"{name}.csv"), "w", encoding="utf-8") as fh:
             fh.write("node,x,truth,prediction,lower,upper\n")
             _write_rows(fh, heads, np.column_stack([truth[:, j], pred[:, j], lower[j], upper[j]]),
                         "\n")
@@ -354,7 +369,7 @@ def cmd_evaluate(cfg):
         try:
             svg = _section_plot_svg(hf.coords[:, 0], truth[:, 0], pred[:, 0],
                                     lower[0], upper[0], title=test_names[0])
-            with open(os.path.join(cfg.out_dir, "section_plot.svg"), "w") as fh:
+            with open(os.path.join(cfg.out_dir, "section_plot.svg"), "w", encoding="utf-8") as fh:
                 fh.write(svg)
         except Exception as exc:  # plots are best-effort, never gate exit codes
             log.warning("plot emission failed: %s", exc)
@@ -425,7 +440,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _setup_logging()
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             cfg = parse_config(fh.read())
         # looked up by name at call time, so a rebound cmd_* is the one run
         globals()[f"cmd_{args.command}"](cfg)

@@ -76,22 +76,6 @@ def band(prediction, radius):
 
 
 @dataclass
-class ConformalCalibration:
-    """Single-split calibration artifact: radius = critical_quantile * s."""
-
-    s: np.ndarray
-    critical_quantile: float
-    radius: np.ndarray
-
-
-def calibrate(residuals, delta, kind) -> ConformalCalibration:
-    """Textbook single-split calibration from an (n, D) residual matrix."""
-    s = modulation(residuals)
-    k_s = critical_quantile(scores(residuals, s, kind), delta)
-    return ConformalCalibration(s=s, critical_quantile=k_s, radius=k_s * s)
-
-
-@dataclass
 class SplitRecord:
     train_idx: list
     cal_idx: list
@@ -105,11 +89,6 @@ class MultiSplitCalibration:
     radius: np.ndarray  # component-wise median of the split radii
     epoch: int  # median of the split epochs, rounded up
     splits: list  # SplitRecord diagnostics
-
-
-def _median_epoch(epochs):
-    # even count: average the two middle values, then round up
-    return int(math.ceil(float(np.median(epochs))))
 
 
 def multi_split_calibrate(x_lf, y_hf, pretrained, n_splits, cal_fraction, delta,
@@ -159,7 +138,7 @@ def multi_split_calibrate(x_lf, y_hf, pretrained, n_splits, cal_fraction, delta,
             )
         except nn.TrainingDiverged as exc:
             raise nn.TrainingDiverged(exc.epoch, f"split {b} diverged") from exc
-        # not calibrate(): perfbench times a split up to a critical_quantile called here
+        # the split rule; perfbench times a split up to the critical_quantile called here
         residuals = (y[:, cal_idx] - mfae.predict(model, x[:, cal_idx])).T
         s = modulation(residuals)
         k_s = critical_quantile(scores(residuals, s, kind), delta)
@@ -169,7 +148,8 @@ def multi_split_calibrate(x_lf, y_hf, pretrained, n_splits, cal_fraction, delta,
     records = [run_split(b) for b in range(n_splits)]
     return MultiSplitCalibration(
         radius=np.median(np.stack([rec.radius for rec in records]), axis=0),
-        epoch=_median_epoch([rec.epoch for rec in records]),
+        # an even count averages the two middle epochs; the median is rounded up
+        epoch=int(math.ceil(float(np.median([rec.epoch for rec in records])))),
         splits=records,
     )
 

@@ -5,11 +5,9 @@ D-node coordinates, and per-snapshot named parameter rows. Sets are treated
 as immutable; every operation returns new arrays.
 """
 
-import codecs
 import csv
 import hashlib
 import json
-import locale
 import math
 import os
 import tempfile
@@ -74,10 +72,6 @@ class SnapshotSet:
         return [pos[n] for n in names]
 
 
-def _fmt(v):
-    return f"{v:.17g}"
-
-
 def params_path_for(path):
     """Sibling params CSV for a fields CSV path: foo.csv -> foo_params.csv."""
     path = str(path)
@@ -117,14 +111,14 @@ def save_csv(s, path):
     params CSV `params_path_for(path)` (name, one column per parameter).
     17 significant digits, so a load round-trips bit-exactly."""
     coord_cols = COORD_NAMES[: s.coords.shape[1]]
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["node", *coord_cols, *s.names])
         _write_rows(fh, _row_heads(s.coords), s.fields, "\r\n")
-    with open(params_path_for(path), "w", newline="") as fh:
+    with open(params_path_for(path), "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["name", *s.param_names])
         for j, name in enumerate(s.names):
-            w.writerow([name] + [_fmt(v) for v in s.params[j]])
+            w.writerow([name] + [f"{v:.17g}" for v in s.params[j]])
 
 
 def _parse_float(cell, where):
@@ -161,7 +155,7 @@ def _scan_body(path, width):
     """The node rows of a fields CSV without the node column, parsed cell by
     cell. It defines what `load_csv` accepts, and runs only when loadtxt
     fails there: it names the first ragged row or non-numeric cell."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = _records(path, fh)
         next(reader)
         rows = []
@@ -199,11 +193,8 @@ def load_csv(path, *, cache_dir=None) -> SnapshotSet:
 
 
 # cache key prefix: the entry layout version, then the text encoding the
-# parser decodes names with, by its codec's name: a C locale reports
-# "utf-8" to a stage started from a shell and "UTF-8" to one a Python
-# parent started (PEP 538), for the same codec
-_CACHE_TAG = (f"mfcp snapshot cache 1\n"
-              f"{codecs.lookup(locale.getpreferredencoding(False)).name}\n").encode()
+# parser decodes names with
+_CACHE_TAG = b"mfcp snapshot cache 1\nutf-8\n"
 
 
 def _digest(*paths):
@@ -257,7 +248,7 @@ def _store(entry, s):
 
 def _parse_csv(path, params_path):
     """The snapshot set in a fields CSV and its params CSV."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         header = next(_records(path, fh), None)
         # The node column is a label and is never parsed. No usecols: with it
         # loadtxt would accept rows that are too long. An empty body is
@@ -287,7 +278,7 @@ def _parse_csv(path, params_path):
         values = _scan_body(path, width)
     if values.shape[0] == 0:
         raise ValueError(f"{path}: no node rows")
-    with open(params_path, newline="") as fh:
+    with open(params_path, newline="", encoding="utf-8") as fh:
         prows = list(_records(params_path, fh))
     if not prows or prows[0][:1] != ["name"]:
         raise ValueError(f"{params_path}: first header column must be 'name'")

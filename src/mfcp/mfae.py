@@ -154,7 +154,7 @@ def fine_tune(model, x_lf, y_hf, epochs, monitor=None, patience=100,
 
     # the frozen encoder maps each row to the same latent every epoch, so it
     # runs once here and training starts at the decoder (the mask: see nn)
-    encoder = nn.stack(model.encoder, trainable=[False])
+    encoder = nn.Mlp(model.encoder.layers, trainable=[False] * len(model.encoder.layers))
 
     def latents(fields):
         return nn.forward(encoder, model.lf_stats.apply(fields).T)[0]
@@ -163,11 +163,8 @@ def fine_tune(model, x_lf, y_hf, epochs, monitor=None, patience=100,
     mon = None
     if monitor is not None:
         mon = (latents(monitor[0]), model.hf_stats.apply(monitor[1]).T)
-    if epochs == 0 and mon is None:  # nn.train needs epochs >= 1; E* may be 0
-        result = nn.TrainResult()
-    else:
-        result = nn.train(net, latents(x), model.hf_stats.apply(y).T, epochs=epochs,
-                          adam=adam, monitor=mon, patience=patience)
+    result = nn.train(net, latents(x), model.hf_stats.apply(y).T, epochs=epochs,
+                      adam=adam, monitor=mon, patience=patience)
     model.phase = PHASE_FINE_TUNED
     return result
 
@@ -213,7 +210,7 @@ def save_model(model, out_dir, extra=None):
                if (stats := getattr(model, name)) is not None and stats.mode != "none"}
     for name in NETWORKS:
         if (net := getattr(model, name)) is not None:
-            with open(os.path.join(out_dir, f"{name}.json"), "w") as fh:
+            with open(os.path.join(out_dir, f"{name}.json"), "w", encoding="utf-8") as fh:
                 fh.write(nn.to_json(net))
             vectors[name] = nn.parameters(net.layers)
     for name, flat in vectors.items():
@@ -225,7 +222,7 @@ def save_model(model, out_dir, extra=None):
                 os.remove(os.path.join(out_dir, name))
     meta = {"format_version": BUNDLE_VERSION, "phase": model.phase,
             "config": asdict(model.config)}  # nested AdamConfig becomes a dict
-    with open(os.path.join(out_dir, "meta.json"), "w") as fh:
+    with open(os.path.join(out_dir, "meta.json"), "w", encoding="utf-8") as fh:
         json.dump({**meta, **(extra or {})}, fh, indent=2, sort_keys=True)
 
 
@@ -295,7 +292,7 @@ def load_model(out_dir) -> MfaeModel:
     describe training rather than the model (the `extra` of save_model) are
     kept as `model.provenance`. A ValueError names the file and entry at fault."""
     meta_path = os.path.join(out_dir, "meta.json")
-    with open(meta_path) as fh:
+    with open(meta_path, encoding="utf-8") as fh:
         meta = _read(meta_path, json.load, fh)
     if not isinstance(meta, dict) or not set(_META_KEYS) <= set(meta):
         raise ValueError(f"{meta_path}: must be a mapping with the keys {list(_META_KEYS)}")

@@ -4,19 +4,19 @@ Small, deterministic, float64 throughout. Layers hold (out x in) weight
 matrices; a network of widths [n_in, ..., n_out] has relu hidden layers and
 an identity output layer. Training is full batch: one Adam step per epoch.
 
-`train` trains every layer of the net it is given; a caller freezes layers
-by running them first, as `mfae.fine_tune` runs the encoder once and trains
-the decoder and up-scaler on the latents. During `train` the parameters
-live in one contiguous buffer: each layer's weights and biases are rebound
-as views into it, so Adam, the finiteness check and the best-epoch snapshot
-each touch a single array, and networks that share the layers see the
-trained values without a copy-back. `backward` writes the gradients into a
-second buffer of the same layout.
+`train` trains every layer of the net it is given, for any number of
+epochs from 0; a caller freezes layers by running them first, as
+`mfae.fine_tune` runs the encoder once and trains the decoder and up-scaler
+on the latents. During `train` the parameters live in one contiguous
+buffer: each layer's weights and biases are rebound as views into it, so
+Adam, the finiteness check and the best-epoch snapshot each touch a single
+array, and networks that share the layers see the trained values without a
+copy-back. `backward` writes the gradients into a second buffer of the same
+layout, which its caller owns.
 
-`Mlp.trainable` and `stack(trainable=)` only mark `fine_tune`'s encoder
-pass as frozen work for the benchmark tracer (`perfbench/tracer.py`), and
-`train` refuses a net with a frozen layer. They go once the tracer stops
-reading them.
+`Mlp.trainable` only marks `fine_tune`'s encoder pass as frozen work for
+the benchmark tracer (`perfbench/tracer.py`), and `train` refuses a net
+with a frozen layer. It goes once the tracer stops reading it.
 """
 
 import json
@@ -109,19 +109,12 @@ def _layer_specs(dims):
     return list(zip(dims, dims[1:], ["relu"] * (len(dims) - 2) + ["identity"]))
 
 
-def stack(*nets, trainable=None):
-    """Compose networks into one Mlp sharing the underlying layer objects.
-
-    Training the stack updates the original networks in place; `trainable`
-    is a per-source-net mask (True = that net's layers train).
-    """
-    layers, mask = [], []
-    if trainable is None:
-        trainable = [True] * len(nets)
-    for net, flag in zip(nets, trainable):
-        layers.extend(net.layers)
-        mask.extend([flag and t for t in net.trainable])
-    return Mlp(layers, trainable=mask)
+def stack(*nets):
+    """Compose networks into one Mlp sharing the underlying layer objects and
+    each net's frozen-layer mask. Training the stack updates the original
+    networks in place."""
+    return Mlp([layer for net in nets for layer in net.layers],
+               trainable=[flag for net in nets for flag in net.trainable])
 
 
 def forward(net, x):
@@ -141,20 +134,18 @@ def forward(net, x):
     return a, cache
 
 
-def backward(net, cache, grad_out, out=None):
+def backward(net, cache, grad_out, out):
     """Backpropagate; returns one (dW, db) pair per layer.
 
-    The pairs are views into one flat buffer laid out as `parameters`: `out`
-    when given (`train` passes its gradient buffer), else a new one. No input
-    gradient is formed at the first layer. `grad_out` must match the forward
-    output's (n, d_out) shape; neither it nor the cache is written to.
+    The pairs are views into `out`, a float64 vector laid out as `parameters`
+    (`train` passes its gradient buffer). No input gradient is formed at the
+    first layer. `grad_out` must match the forward output's (n, d_out)
+    shape; neither it nor the cache is written to.
     """
     g = np.asarray(grad_out, dtype=np.float64)
     if len(cache) != len(net.layers):
         raise ValueError("cache does not match network depth")
     top = len(net.layers) - 1
-    if out is None:
-        out = np.empty(sum(layer.weights.size + layer.biases.size for layer in net.layers))
     end = out.size  # the layers run top down, so the buffer fills from its end
     grads = []
     for i in range(top, -1, -1):
@@ -283,7 +274,8 @@ class TrainResult:
 
 
 def train(net, inputs, targets, epochs, adam=None, monitor=None, patience=100):
-    """Full-batch gradient descent with Adam.
+    """Full-batch gradient descent with Adam for `epochs` >= 0 epochs; 0
+    leaves the initial weights.
 
     inputs/targets are (n, d_in)/(n, d_out). With `monitor=(x_val, y_val)`
     the validation MSE is tracked per epoch (epoch 0 = initial weights);
@@ -299,8 +291,8 @@ def train(net, inputs, targets, epochs, adam=None, monitor=None, patience=100):
     """
     if not all(net.trainable):
         raise ValueError("train trains every layer; run the frozen ones first, outside the net")
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
+    if epochs < 0:
+        raise ValueError("epochs must be >= 0")
     x = np.asarray(inputs, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:

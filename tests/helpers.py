@@ -85,13 +85,18 @@ def jacobi_eigenvalues(sym, sweeps=100):
     return np.sort(np.diag(a))[::-1]
 
 
+def gradients(net, cache, grad_out):
+    """`nn.backward` into a new buffer laid out as `nn.parameters`."""
+    return nn.backward(net, cache, grad_out, np.empty(nn.parameters(net.layers).size))
+
+
 def finite_diff_probe(net, x, y, probes_per_layer=10, h=1e-5, seed=0):
     """Central finite differences of the training MSE at randomly probed
     parameters; yields (analytic, numeric) pairs."""
     rng = np.random.default_rng(seed)
     pred, cache = nn.forward(net, x)
     _, grad = nn.mse_loss(pred, y)
-    analytic = nn.backward(net, cache, grad)
+    analytic = gradients(net, cache, grad)
     params = [a for layer in net.layers for a in (layer.weights, layer.biases)]
     flat_analytic = [g for pair in analytic for g in pair]
     pairs = []

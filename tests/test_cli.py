@@ -332,6 +332,8 @@ def test_finetune_estar_zero_keeps_pretrained_decoder(tmp_path, pipeline):
     assert os.path.exists(os.path.join(final, "upscaler.npy"))
     meta = json.loads(open(os.path.join(final, "meta.json")).read())
     assert meta["epochs_trained"] == 0
+    with open(os.path.join(zero.out_dir, "finetune_history.csv"), newline="") as fh:
+        assert fh.read() == "epoch,loss\n"
 
 
 def test_report_fields_and_recomputation_oracle(pipeline):
@@ -734,6 +736,69 @@ def test_malformed_bundle_meta_exits_2(tmp_path, capsys, pipeline, edit, message
                                                  "model_pretrained", edit)
     assert code == 2
     assert err == f"error: {message.format(**bundle_paths(bundle_dir))}\n"
+
+
+def set_key(**values):
+    return lambda doc: doc.update(values)
+
+
+def drop_key(key):
+    def edit(doc):
+        del doc[key]
+    return edit
+
+
+def set_radius(value):
+    return lambda doc: doc["R_star"].__setitem__(3, value)
+
+
+NAMES_RULE = "must be a list of snapshot names"
+E_STAR_RULE = " E_star: must be an int >= 0"
+R_STAR_RULE = " R_star: must be a list of finite numbers >= 0"
+
+
+@pytest.mark.parametrize("stage, name, edit, message", [
+    ("finetune", "calibration.json", set_key(E_star=None), E_STAR_RULE),
+    ("finetune", "calibration.json", set_key(E_star=1.5), E_STAR_RULE),
+    ("finetune", "calibration.json", set_key(E_star=True), E_STAR_RULE),
+    ("finetune", "calibration.json", set_key(E_star="7"), E_STAR_RULE),
+    ("finetune", "calibration.json", set_key(E_star=-1), E_STAR_RULE),
+    ("finetune", "calibration.json", drop_key("E_star"), E_STAR_RULE),
+    ("finetune", "calibration.json", lambda doc: [1], ": must be a mapping"),
+    ("calibrate", "split.json", lambda doc: [1], ": must be a mapping"),
+    ("calibrate", "split.json", set_key(train_names="a"), " train_names: " + NAMES_RULE),
+    ("calibrate", "split.json", set_key(train_names=[1, 2]), " train_names: " + NAMES_RULE),
+    ("evaluate", "split.json", drop_key("test_names"), " test_names: " + NAMES_RULE),
+    ("evaluate", "split.json", set_key(complementary_names=None),
+     " complementary_names: " + NAMES_RULE),
+    ("evaluate", "calibration.json", lambda doc: doc.update(R_star=dict(enumerate(doc["R_star"]))),
+     R_STAR_RULE),
+    ("evaluate", "calibration.json", set_radius(float("nan")), R_STAR_RULE),
+    ("evaluate", "calibration.json", set_radius(-1e-9), R_STAR_RULE),
+    ("evaluate", "calibration.json", set_radius(10**400), R_STAR_RULE),
+    ("evaluate", "calibration.json", set_radius(True), R_STAR_RULE),
+    ("evaluate", "calibration.json", set_radius("0.5"), R_STAR_RULE),
+], ids=["e-star-null", "e-star-a-float", "e-star-a-bool", "e-star-a-string", "e-star-negative",
+        "no-e-star", "calibration-not-a-mapping", "split-not-a-mapping", "train-names-a-string",
+        "train-names-of-ints", "no-test-names", "complementary-names-null", "r-star-a-mapping",
+        "r-star-nan", "r-star-negative", "r-star-a-huge-int", "r-star-a-bool",
+        "r-star-a-string"])
+def test_malformed_stage_input_exits_2(tmp_path, capsys, pipeline, stage, name, edit, message):
+    # a stage checks the keys it reads of split.json and calibration.json;
+    # the error names the file and the key. `edit` changes the document in
+    # place or returns the one that replaces it.
+    import shutil
+    root, cfg, _ = pipeline
+    edited = dataclasses.replace(cfg, out_dir=str(tmp_path / "edited"))
+    shutil.copytree(root / "out", edited.out_dir)
+    path = os.path.join(edited.out_dir, name)
+    doc = json.loads(open(path).read())
+    with open(path, "w") as fh:
+        json.dump(edit(doc) or doc, fh)
+    (tmp_path / "edited.txt").write_text(dump_config(edited))
+    capsys.readouterr()
+    assert cli.main([stage, "--config", str(tmp_path / "edited.txt")]) == 2
+    assert capsys.readouterr().err == f"error: {path}{message}\n"
 
 
 STD_RULE = "needs a std >= STD_FLOOR = 1e-08 for every node"

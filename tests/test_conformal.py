@@ -89,10 +89,28 @@ def test_band_examples():
     assert np.allclose(hi - lo, 2.0 * r, atol=0)
 
 
-def test_radius_law_exact():
-    rng = np.random.default_rng(5)
-    cal = conformal.calibrate(rng.normal(size=(15, 8)), delta=0.2, kind="linf")
-    assert np.array_equal(cal.radius, cal.critical_quantile * cal.s)
+def test_radius_law_exact(tiny_pretrained, monkeypatch):
+    # each split's radius is k_s * s: the modulation s of its calibration
+    # residuals times the critical quantile k_s of their scores
+    model, lf, hf = tiny_pretrained
+    tuned, fine_tune = [], mfae.fine_tune
+
+    def recorded(tuning, *args, **kwargs):
+        tuned.append(tuning)
+        return fine_tune(tuning, *args, **kwargs)
+
+    monkeypatch.setattr(mfae, "fine_tune", recorded)
+    res = conformal.multi_split_calibrate(
+        lf[:, :30], hf[:, :30], model, n_splits=2, cal_fraction=0.3,
+        delta=0.2, kind="linf", patience=10, seed=5, max_epochs=40,
+    )
+    assert len(tuned) == len(res.splits) == 2
+    for tuning, rec in zip(tuned, res.splits):
+        residuals = (hf[:, rec.cal_idx] - mfae.predict(tuning, lf[:, rec.cal_idx])).T
+        s = conformal.modulation(residuals)
+        k_s = conformal.critical_quantile(conformal.scores(residuals, s, "linf"), delta=0.2)
+        assert rec.critical_quantile == k_s
+        assert np.array_equal(rec.radius, k_s * s)
 
 
 def test_scale_equivariance_power_of_two():

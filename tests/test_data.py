@@ -335,6 +335,43 @@ def test_cache_tag_is_the_same_however_a_stage_is_started():
     assert tags == ["mfcp snapshot cache 1\nutf-8\n"] * 2
 
 
+# save, parse, then load twice through the cache (a miss that stores, then a
+# hit), each bit-exact, in the directory argv[1]; names in escapes, so the
+# script's own text is ASCII under any locale
+ROUND_TRIP_CAFE = """
+import sys
+import numpy as np
+from mfcp import data
+want = data.SnapshotSet(fields=np.array([[1 / 3, -0.0], [2.5, 1e308]]), coords=np.zeros((2, 1)),
+                        params=np.array([[0.1], [-7.0]]), param_names=["\\u03b1"],
+                        names=["caf\\u00e9", "b"])
+data.save_csv(want, sys.argv[1] + "/set.csv")
+for cache_dir in (None, sys.argv[1] + "/cache", sys.argv[1] + "/cache"):
+    got = data.load_csv(sys.argv[1] + "/set.csv", cache_dir=cache_dir)
+    assert got.names == want.names and got.param_names == want.param_names
+    for a, b in ((got.fields, want.fields), (got.coords, want.coords), (got.params, want.params)):
+        assert a.tobytes() == b.tobytes()
+"""
+
+
+def test_a_set_is_utf_8_under_an_ascii_locale(tmp_path):
+    # with locale coercion and UTF-8 mode off, the C locale's encoding is ASCII
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith(("LC_", "LANG", "PYTHONUTF8", "PYTHONCOERCECLOCALE"))}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(data.__file__)))
+    ascii_env = dict(env, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    for name, child_env in (("ascii", ascii_env), ("default", env)):
+        (tmp_path / name).mkdir()
+        subprocess.run([sys.executable, "-c", ROUND_TRIP_CAFE, str(tmp_path / name)],
+                       env=child_env, capture_output=True, check=True)
+    ascii_dir, default_dir = tmp_path / "ascii", tmp_path / "default"
+    for name in ("set.csv", "set_params.csv"):
+        assert (ascii_dir / name).read_bytes() == (default_dir / name).read_bytes()
+    assert "café".encode() in (ascii_dir / "set.csv").read_bytes()
+    # the same cache key: the entries themselves are zip archives stamped with their time
+    assert entries(ascii_dir / "cache") == entries(default_dir / "cache")
+
+
 @pytest.mark.parametrize("which", ["fields", "params"])
 def test_cache_one_changed_byte_is_a_miss(tmp_path, which):
     cache = tmp_path / "cache"

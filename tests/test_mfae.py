@@ -8,7 +8,7 @@ import pytest
 from mfcp import conformal, mfae, nn
 from mfcp.data import compute_norm_stats, metrics
 
-from helpers import params_digest, sinusoid_pair_benchmark
+from helpers import gradients, params_digest, sinusoid_pair_benchmark
 
 
 def small_config(**over):
@@ -150,7 +150,7 @@ def stacked_fine_tune(model, x_lf, y_hf, epochs, monitor=None, patience=100, ada
         pred, cache = nn.forward(net, x)
         loss, grad = nn.mse_loss(pred, y)
         result.losses.append(loss)
-        grads = nn.backward(tail, cache[frozen:], grad)
+        grads = gradients(tail, cache[frozen:], grad)
         nn.adam_step(state, params, [g for pair in grads for g in pair])
         if monitor is not None:
             result.val_losses.append(val_mse())
@@ -211,6 +211,19 @@ def test_early_stopped_calibration_matches_the_frozen_stack_bitwise(monkeypatch)
     # at least two splits halt early, at different epochs
     halted = {bits[3] for bits in runs[0][0] if bits[4]}
     assert len(halted) >= 2
+
+
+def test_fine_tune_for_zero_epochs_keeps_the_pretrained_decoder():
+    lf, hf, _ = sinusoid_pair_benchmark(20, 16, 24, seed=13)
+    pretrained = mfae.pretrain(small_config(pretrain_epochs=40), lf)
+    for monitor in (None, (lf[:, 15:], hf[:, 15:])):
+        model = mfae.clone(pretrained)
+        result = mfae.fine_tune(model, lf[:, :15], hf[:, :15], epochs=0, monitor=monitor)
+        assert model.phase == mfae.PHASE_FINE_TUNED and result.losses == []
+        assert params_digest(model.decoder) == params_digest(pretrained.decoder)
+        fresh = nn.Mlp.from_widths(model.config.dims("upscaler"), seed=[model.config.seed, 2])
+        assert params_digest(model.upscaler) == params_digest(fresh)
+        assert result.val_losses is None if monitor is None else len(result.val_losses) == 1
 
 
 def test_predict_is_exactly_the_stepwise_composition():

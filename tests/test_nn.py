@@ -6,7 +6,7 @@ import pytest
 
 from mfcp import nn
 
-from helpers import finite_diff_probe, params_digest, rel_err
+from helpers import finite_diff_probe, gradients, params_digest, rel_err
 
 
 def identity_layer(d):
@@ -49,7 +49,7 @@ def test_backward_zero_gradient_at_optimum():
     x = np.array([[0.3, -0.7]])
     y, cache = nn.forward(net, x)
     _, grad = nn.mse_loss(y, y)
-    (dw, db), = nn.backward(net, cache, grad)
+    (dw, db), = gradients(net, cache, grad)
     assert not np.any(dw) and not np.any(db)
 
 
@@ -58,7 +58,7 @@ def test_backward_single_weight_hand_calculus():
     net = nn.Mlp([nn.DenseLayer([[2.0]], [0.0], "identity")])
     y, cache = nn.forward(net, np.array([[1.0]]))
     _, grad = nn.mse_loss(y, np.array([[0.0]]))
-    (dw, _), = nn.backward(net, cache, grad)
+    (dw, _), = gradients(net, cache, grad)
     assert dw[0, 0] == 4.0
 
 
@@ -79,8 +79,8 @@ def test_backward_frozen_prefix_matches_all_trainable_bitwise():
     x = np.random.default_rng(2).normal(size=(9, 5))
     y, cache = nn.forward(net, x)
     grad = 2.0 * y / y.size
-    full = nn.backward(net, cache, grad)
-    partial = nn.backward(nn.Mlp(net.layers[2:]), cache[2:], grad)
+    full = gradients(net, cache, grad)
+    partial = gradients(nn.Mlp(net.layers[2:]), cache[2:], grad)
     assert len(full) == 4 and len(partial) == 2
     for (dw, db), (dw_full, db_full) in zip(partial, full[2:]):
         assert np.array_equal(dw, dw_full)
@@ -169,13 +169,13 @@ def test_backward_matches_the_allocating_form_bitwise_and_writes_no_input(frozen
     want = reference_backward(net, cache, grad, frozen)
     tail = nn.Mlp(net.layers[frozen:])
     buffer = np.full(nn.parameters(tail.layers).size, np.nan)
-    for got in (nn.backward(tail, cache[frozen:], grad),
-                nn.backward(tail, cache[frozen:], grad, out=buffer)):
-        assert len(got) == len(want) == 3 - frozen
-        for (dw, db), (rw, rb) in zip(got, want):
-            assert dw.shape == rw.shape and dw.tobytes() == rw.tobytes()
-            assert db.shape == rb.shape and db.tobytes() == rb.tobytes()
-    # with `out`, the pairs are views laid out as `parameters`
+    got = nn.backward(tail, cache[frozen:], grad, buffer)
+    assert len(got) == len(want) == 3 - frozen
+    for (dw, db), (rw, rb) in zip(got, want):
+        assert dw.shape == rw.shape and dw.tobytes() == rw.tobytes()
+        assert db.shape == rb.shape and db.tobytes() == rb.tobytes()
+        assert dw.base is buffer and db.base is buffer
+    # the pairs are views into `out`, laid out as `parameters`
     assert buffer.tobytes() == np.concatenate([g.ravel() for pair in want for g in pair]).tobytes()
     after = [grad] + [arr for pair in cache for arr in pair]
     assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
@@ -307,10 +307,21 @@ def test_mse_loss_matches_naive_loop():
         assert abs(grad[i] - 2.0 * (a[i] - b[i]) / 20) <= 1e-18
 
 
-def test_train_rejects_zero_epochs():
-    net = nn.Mlp.from_widths([2, 2], seed=0)
-    with pytest.raises(ValueError):
-        nn.train(net, np.zeros((3, 2)), np.zeros((3, 2)), epochs=0)
+def test_train_refuses_negative_epochs_and_zero_keeps_the_initial_bits():
+    rng = np.random.default_rng(3)
+    x, y = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+    net = nn.Mlp.from_widths([2, 4, 2], seed=0)
+    digest = params_digest(net)
+    with pytest.raises(ValueError, match="epochs must be >= 0"):
+        nn.train(net, x, y, epochs=-1)
+    result = nn.train(net, x, y, epochs=0)
+    assert params_digest(net) == digest
+    assert (result.losses, result.val_losses, result.best_epoch) == ([], None, None)
+    # with a monitor, the epoch-0 validation loss of the initial weights
+    result = nn.train(net, x, y, epochs=0, monitor=(x, y))
+    assert params_digest(net) == digest
+    assert (result.losses, result.best_epoch, result.halted_early) == ([], 0, False)
+    assert result.val_losses == [float(np.mean((nn.forward(net, x)[0] - y) ** 2))]
 
 
 def test_train_fits_exact_linear_data():
@@ -385,6 +396,20 @@ def test_train_refuses_an_all_frozen_net():
         assert str(err.value) == ("train trains every layer; run the frozen ones first, "
                                   "outside the net")
         assert params_digest(net) == digest
+
+
+def test_stack_keeps_a_frozen_net_frozen_and_train_refuses_it():
+    rng = np.random.default_rng(8)
+    x, y = rng.normal(size=(6, 3)), rng.normal(size=(6, 2))
+    head = nn.Mlp.from_widths([3, 4], seed=10)
+    frozen = nn.Mlp(nn.Mlp.from_widths([4, 5, 2], seed=11).layers, trainable=[False, False])
+    net = nn.stack(head, frozen)
+    assert net.trainable == [True, False, False]
+    assert all(a is b for a, b in zip(net.layers, head.layers + frozen.layers))
+    digests = params_digest(head), params_digest(frozen)
+    with pytest.raises(ValueError, match="train trains every layer"):
+        nn.train(net, x, y, epochs=5)
+    assert (params_digest(head), params_digest(frozen)) == digests
 
 
 def test_json_round_trip_lossless():
