@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 
-from . import conformal, lofi, mfae, nn
+from . import conformal, linalg, lofi, mfae, nn
 from .data import _row_heads, _write_rows, load_csv, metrics, save_csv, stratified_split
 
 log = logging.getLogger("mfcp")
@@ -199,6 +199,14 @@ def _paired_matrices(lf, hf, names):
     return lf.fields[:, xi], hf.fields[:, yi]
 
 
+def _train_pairs(cfg, bundle):
+    """What calibrate and finetune train from: the model bundle `bundle`, the
+    split plan and the paired (x_lf, y_hf) training matrices. The full LF and
+    HF sets are freed on return, before any training."""
+    model, lf, hf, split = _stage_inputs(cfg, bundle)
+    return (model, split, *_paired_matrices(lf, hf, split["train_names"]))
+
+
 # --- commands ----------------------------------------------------------------
 
 
@@ -252,8 +260,7 @@ def cmd_pretrain(cfg):
 
 
 def cmd_calibrate(cfg):
-    model, lf, hf, split = _stage_inputs(cfg, "model_pretrained")
-    x, y = _paired_matrices(lf, hf, split["train_names"])
+    model, _, x, y = _train_pairs(cfg, "model_pretrained")
     seed = derive_seed(cfg.seed, "calibrate")
     result = conformal.multi_split_calibrate(
         x, y, model,
@@ -292,8 +299,7 @@ def cmd_calibrate(cfg):
 
 def cmd_finetune(cfg):
     calibration = _read_artifact(os.path.join(cfg.out_dir, "calibration.json"), "E_star")
-    model, lf, hf, split = _stage_inputs(cfg, "model_pretrained")
-    x, y = _paired_matrices(lf, hf, split["train_names"])
+    model, split, x, y = _train_pairs(cfg, "model_pretrained")
     e_star = calibration["E_star"]
     result = mfae.fine_tune(model, x, y, epochs=e_star, seed=derive_seed(cfg.seed, "finetune"))
     bundle = os.path.join(cfg.out_dir, "model_final")
@@ -341,6 +347,11 @@ def cmd_evaluate(cfg):
     for name in test_names:  # each names its file predictions/<name>.csv
         if os.path.basename(name) != name:
             raise ValueError(f"test snapshot name {name!r} contains a path separator")
+        try:
+            os.fsencode(name)
+        except UnicodeEncodeError:
+            raise ValueError(f"test snapshot name {name!r} cannot be a file name in the "
+                             f"file system encoding {sys.getfilesystemencoding()!r}") from None
     radius = np.array(calibration["R_star"], dtype=np.float64)
 
     truth, pred, lower, upper, test_report = _evaluate_subset(model, radius, lf, hf, test_names)
@@ -442,8 +453,10 @@ def main(argv=None) -> int:
     try:
         with open(args.config, encoding="utf-8") as fh:
             cfg = parse_config(fh.read())
-        # looked up by name at call time, so a rebound cmd_* is the one run
-        globals()[f"cmd_{args.command}"](cfg)
+        # looked up by name at call time, so a rebound cmd_* is the one run; one
+        # BLAS thread, so that the bytes do not depend on OPENBLAS_NUM_THREADS
+        with linalg.one_blas_thread():
+            globals()[f"cmd_{args.command}"](cfg)
     except (nn.TrainingDiverged, np.linalg.LinAlgError, FloatingPointError) as exc:
         log.error("numeric failure: %s", exc)
         print(f"error: {exc}", file=sys.stderr)

@@ -5,15 +5,19 @@ The band around a field prediction is a hyperrectangle: per-node radius =
 standard deviation). The multi-split protocol repeats the fit/calibrate
 cycle over B random partitions of the high-fidelity training pairs and
 aggregates radii and stopping epochs by component-wise medians, so the
-final model can be trained on every available pair.
+final model can be trained on every available pair. The B splits are
+independent and run on a pool of threads, one per CPU this process may
+use, over a one-thread BLAS.
 """
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import mfae, nn
+from . import linalg, mfae, nn
 
 SCORE_KINDS = ("linf", "normalized_l2")
 
@@ -103,7 +107,12 @@ def multi_split_calibrate(x_lf, y_hf, pretrained, n_splits, cal_fraction, delta,
     from the calibration residuals. Medians aggregate the B radius vectors
     component-wise and the B best epochs.
 
-    Each split owns a private RNG stream derived from (seed, b).
+    Each split owns a private RNG stream derived from (seed, b), so the
+    splits run at once on min(B, CPUs this process may use) threads, over a
+    BLAS pinned to one thread (`linalg.one_blas_thread`): the bytes do not
+    depend on the worker count or the caller's BLAS setting, which comes
+    back afterwards. Records keep the split order b = 0..B-1, and of the
+    splits that diverge, the first in that order raises its TrainingDiverged.
     """
     x = np.asarray(x_lf, dtype=np.float64)
     y = np.asarray(y_hf, dtype=np.float64)
@@ -145,7 +154,9 @@ def multi_split_calibrate(x_lf, y_hf, pretrained, n_splits, cal_fraction, delta,
         return SplitRecord(train_idx=train_idx.tolist(), cal_idx=cal_idx.tolist(),
                            critical_quantile=k_s, epoch=int(result.best_epoch), radius=k_s * s)
 
-    records = [run_split(b) for b in range(n_splits)]
+    workers = min(n_splits, len(os.sched_getaffinity(0)))
+    with linalg.one_blas_thread(), ThreadPoolExecutor(workers) as pool:
+        records = list(pool.map(run_split, range(n_splits)))
     return MultiSplitCalibration(
         radius=np.median(np.stack([rec.radius for rec in records]), axis=0),
         # an even count averages the two middle epochs; the median is rounded up

@@ -434,7 +434,9 @@ class NormStats:
         a = _batch(fields)
         if self.mode == "none":
             return a.copy()
-        return (a - self.mean[:, None]) / self.std[:, None]
+        out = a - self.mean[:, None]
+        out /= self.std[:, None]  # in place: one (D, n) array, the bits of the expression
+        return out
 
     def invert(self, fields):
         """Map a normalized (D, n) batch back to physical units."""

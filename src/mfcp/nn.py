@@ -12,7 +12,8 @@ buffer: each layer's weights and biases are rebound as views into it, so
 Adam, the finiteness check and the best-epoch snapshot each touch a single
 array, and networks that share the layers see the trained values without a
 copy-back. `backward` writes the gradients into a second buffer of the same
-layout, which its caller owns.
+layout, which its caller owns; `adam_step` consumes them, using the buffer
+as scratch once it has read them, and the next `backward` overwrites it.
 
 `Mlp.trainable` only marks `fine_tune`'s encoder pass as frozen work for
 the benchmark tracer (`perfbench/tracer.py`), and `train` refuses a net
@@ -225,14 +226,15 @@ class AdamConfig:
 
 
 class AdamState:
-    """First/second-moment accumulators matching a parameter list, plus two
-    scratch arrays per parameter so that a step allocates nothing."""
+    """First/second-moment accumulators matching a parameter list, plus one
+    scratch array per parameter; with the gradients as the second scratch
+    (see `adam_step`), a step allocates nothing."""
 
     def __init__(self, params, config=None):
         self.config = config or AdamConfig()
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
-        self.scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
+        self.scratch = [np.empty_like(p) for p in params]
         self.t = 0
 
 
@@ -241,14 +243,16 @@ def adam_step(state, params, grads):
 
     The operations run in the textbook order (m_hat = m / (1 - beta1**t),
     then lr * m_hat / (sqrt(v_hat) + eps)), in place in the scratch arrays,
-    so every bit matches the expression form.
+    so every bit matches the expression form. The gradients are consumed:
+    once read for the last time, each serves as scratch, and it holds
+    sqrt(v_hat) + eps on return. Pass arrays that may be overwritten.
     """
     if len(params) != len(state.m) or len(grads) != len(params):
         raise ValueError("parameter/gradient/state length mismatch")
     c = state.config
     state.t += 1
     t = state.t
-    for p, g, m, v, (s1, s2) in zip(params, grads, state.m, state.v, state.scratch):
+    for p, g, m, v, s1 in zip(params, grads, state.m, state.v, state.scratch):
         m *= c.beta1
         np.multiply(g, 1.0 - c.beta1, out=s1)
         m += s1
@@ -258,10 +262,10 @@ def adam_step(state, params, grads):
         v += s1
         np.divide(m, 1.0 - c.beta1**t, out=s1)
         s1 *= c.lr
-        np.divide(v, 1.0 - c.beta2**t, out=s2)
-        np.sqrt(s2, out=s2)
-        s2 += c.eps
-        s1 /= s2
+        np.divide(v, 1.0 - c.beta2**t, out=g)  # g is read no more: the second scratch
+        np.sqrt(g, out=g)
+        g += c.eps
+        s1 /= g
         p -= s1
 
 

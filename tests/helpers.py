@@ -1,9 +1,11 @@
 """Shared synthetic generators and independent oracles for the test suite."""
 
 import hashlib
+import os
 
 import numpy as np
 
+import mfcp
 from mfcp import nn
 from mfcp.data import SnapshotSet, cosine_abscissae
 
@@ -124,3 +126,18 @@ def params_digest(net):
         h.update(layer.weights.tobytes())
         h.update(layer.biases.tobytes())
     return h.hexdigest()
+
+
+# --- child processes ---------------------------------------------------------
+
+
+def child_env(ascii_locale=False):
+    """os.environ for a child `python` that imports the mfcp under test, with
+    the locale variables removed. `ascii_locale`: the C locale with locale
+    coercion and UTF-8 mode off, whose file system encoding is ASCII."""
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith(("LC_", "LANG", "PYTHONUTF8", "PYTHONCOERCECLOCALE"))}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(mfcp.__file__)))
+    if ascii_locale:
+        env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    return env

@@ -6,6 +6,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from mfcp.cli import PipelineConfig, dump_config, parse_config
 from mfcp.data import load_csv, save_csv
 from mfcp.lofi import DegradationRecipe, Fps, PodTruncate
 
-from helpers import make_pressure_set
+from helpers import child_env, make_pressure_set
 
 
 def file_digest(path):
@@ -470,6 +472,22 @@ def test_evaluate_refuses_test_names_with_a_path_separator(tmp_path, capsys):
     assert cli.main(["evaluate", "--config", str(cfg_path)]) == 2
     assert capsys.readouterr().err.startswith("error: test snapshot name '../../esc")
     # nothing written: no report, no predictions, no file beside out/
+    assert sorted(p for p in tmp_path.rglob("*") if "cache" not in p.parts) == before
+    assert not (tmp_path / "out" / "predictions").exists()
+
+
+def test_evaluate_refuses_test_names_the_file_system_cannot_encode(tmp_path):
+    # under the C locale with coercion and UTF-8 mode off, file names are ASCII
+    cfg_path = chain_with_names(tmp_path, "caf\u00e9{:02d}",
+                                ("degrade", "pretrain", "calibrate", "finetune"))
+    before = sorted(p for p in tmp_path.rglob("*") if "cache" not in p.parts)
+    child = subprocess.run([sys.executable, "-m", "mfcp.cli", "evaluate", "--config", str(cfg_path)],
+                           env=child_env(ascii_locale=True), capture_output=True)
+    assert child.returncode == 2
+    # ASCII standard error spells the name's é as an escape
+    message = child.stderr.splitlines()[-1]
+    assert message.startswith(b"error: test snapshot name 'caf\\xe9")
+    assert message.endswith(b"' cannot be a file name in the file system encoding 'ascii'")
     assert sorted(p for p in tmp_path.rglob("*") if "cache" not in p.parts) == before
     assert not (tmp_path / "out" / "predictions").exists()
 
@@ -1029,6 +1047,43 @@ def test_stages_over_a_hot_cache_write_the_bytes_of_a_cold_run(tmp_path, monkeyp
     monkeypatch.setattr(data, "_parse_csv", no_parse)
     run_chain(tmp_path, cfg_path)
     assert tree_digests(tmp_path / "out") == cold
+
+
+def test_calibrate_writes_the_same_bytes_whatever_the_blas_thread_setting(tmp_path):
+    # an a7-like shape (260 HF nodes, 104 LF nodes), where OpenBLAS splits the
+    # up-scaler's products by its thread count; each child calibrates a copy
+    # of one pretrained out/
+    import shutil
+    save_csv(make_pressure_set(80, 260, seed=1), tmp_path / "hf.csv")
+    recipe = DegradationRecipe([PodTruncate(energy=0.99), Fps(m=104, seed=11)])
+    (tmp_path / "recipe.json").write_text(recipe.to_json())
+    cfg = dataclasses.replace(
+        chain_config(tmp_path), d_lf=104, d_hf=260, encoder_widths="16", decoder_widths="16",
+        pretrain_epochs=20, max_finetune_epochs=30, patience=10, cal_fraction=0.3,
+        hf_fraction=0.5)
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text(dump_config(cfg))
+    for cmd in ("degrade", "pretrain"):
+        assert cli.main([cmd, "--config", str(cfg_path)]) == 0, f"{cmd} failed"
+    env = child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    one_cpu = {min(os.sched_getaffinity(0))}
+    children = {  # name: (OPENBLAS_NUM_THREADS, the CPUs the child may use)
+        "unset": (None, None), "one": ("1", None), "two": ("2", None), "one-cpu": (None, one_cpu)}
+    written = {}
+    for name, (threads, cpus) in children.items():
+        run = parse_config(dump_config(cfg))
+        run.out_dir = str(tmp_path / name)
+        shutil.copytree(cfg.out_dir, run.out_dir, ignore=shutil.ignore_patterns("cache"))
+        (tmp_path / f"{name}.txt").write_text(dump_config(run))
+        subprocess.run(
+            [sys.executable, "-m", "mfcp.cli", "calibrate", "--config", str(tmp_path / f"{name}.txt")],
+            env=env if threads is None else dict(env, OPENBLAS_NUM_THREADS=threads),
+            preexec_fn=None if cpus is None else lambda cpus=cpus: os.sched_setaffinity(0, cpus),
+            capture_output=True, check=True)
+        written[name] = (tmp_path / name / "calibration.json").read_bytes()
+    assert len(set(written.values())) == 1, {name: hashlib.sha256(b).hexdigest()[:12]
+                                             for name, b in written.items()}
 
 
 def test_stages_rerun_out_of_order_over_one_out_dir_keep_its_bytes(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -93,10 +94,11 @@ def test_radius_law_exact(tiny_pretrained, monkeypatch):
     # each split's radius is k_s * s: the modulation s of its calibration
     # residuals times the critical quantile k_s of their scores
     model, lf, hf = tiny_pretrained
-    tuned, fine_tune = [], mfae.fine_tune
+    tuned, fine_tune = {}, mfae.fine_tune
 
     def recorded(tuning, *args, **kwargs):
-        tuned.append(tuning)
+        # the splits run on a thread pool: keyed by their seed [seed, b, 1], not call order
+        tuned[tuple(kwargs["seed"])] = tuning
         return fine_tune(tuning, *args, **kwargs)
 
     monkeypatch.setattr(mfae, "fine_tune", recorded)
@@ -105,7 +107,8 @@ def test_radius_law_exact(tiny_pretrained, monkeypatch):
         delta=0.2, kind="linf", patience=10, seed=5, max_epochs=40,
     )
     assert len(tuned) == len(res.splits) == 2
-    for tuning, rec in zip(tuned, res.splits):
+    for b, rec in enumerate(res.splits):
+        tuning = tuned[(5, b, 1)]
         residuals = (hf[:, rec.cal_idx] - mfae.predict(tuning, lf[:, rec.cal_idx])).T
         s = conformal.modulation(residuals)
         k_s = conformal.critical_quantile(conformal.scores(residuals, s, "linf"), delta=0.2)
@@ -203,6 +206,52 @@ def test_multi_split_deterministic(tiny_pretrained):
     b = conformal.multi_split_calibrate(lf[:, :50], hf[:, :50], model, **kwargs)
     assert np.array_equal(a.radius, b.radius)
     assert [rec.epoch for rec in a.splits] == [rec.epoch for rec in b.splits]
+
+
+def test_multi_split_bits_do_not_depend_on_the_worker_count(tiny_pretrained, monkeypatch):
+    # the pool has one worker per CPU this process may use: one CPU runs the
+    # splits in order on one worker; six, more than this host's cores, switch
+    # threads every microsecond
+    model, lf, hf = tiny_pretrained
+    kwargs = dict(n_splits=6, cal_fraction=0.3, delta=0.2, kind="normalized_l2",
+                  patience=10, seed=7, max_epochs=60)
+    runs = []
+    for cpus in ({0}, set(range(6))):
+        monkeypatch.setattr(conformal.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            res = conformal.multi_split_calibrate(lf[:, :40], hf[:, :40], model, **kwargs)
+        finally:
+            sys.setswitchinterval(interval)
+        runs.append((res.radius.tobytes(), res.epoch,
+                     [(rec.cal_idx, rec.epoch, rec.radius.tobytes()) for rec in res.splits]))
+    assert runs[0] == runs[1]
+    # in split order: each record holds the calibration fold of its own stream (seed, b)
+    for b, (cal_idx, _, _) in enumerate(runs[0][2]):
+        perm = np.random.default_rng([7, b]).permutation(40)
+        assert cal_idx == sorted(perm[:12].tolist())
+
+
+def test_multi_split_raises_the_first_diverged_split_in_split_order(tiny_pretrained,
+                                                                    monkeypatch):
+    model, lf, hf = tiny_pretrained
+    fine_tune = mfae.fine_tune
+
+    def diverging(tuning, *args, **kwargs):
+        b = kwargs["seed"][1]
+        if b in (1, 2):
+            raise nn.TrainingDiverged(10 + b)
+        return fine_tune(tuning, *args, **kwargs)
+
+    monkeypatch.setattr(mfae, "fine_tune", diverging)
+    with pytest.raises(nn.TrainingDiverged) as err:
+        conformal.multi_split_calibrate(
+            lf[:, :40], hf[:, :40], model, n_splits=4, cal_fraction=0.3,
+            delta=0.2, kind="linf", patience=10, seed=8, max_epochs=30,
+        )
+    assert err.value.epoch == 11 and str(err.value) == "split 1 diverged at epoch 11"
+    assert isinstance(err.value.__cause__, nn.TrainingDiverged)
 
 
 def test_multi_split_rejects_infeasible_delta(tiny_pretrained):

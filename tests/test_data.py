@@ -1,7 +1,6 @@
 import csv
 import io
 import math
-import os
 import subprocess
 import sys
 import warnings
@@ -12,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from mfcp import cli, data
 
-from helpers import make_pressure_set
+from helpers import child_env, make_pressure_set
 
 
 def small_set():
@@ -324,9 +323,7 @@ def test_cache_tag_is_the_same_however_a_stage_is_started():
     # Under a C locale a stage started from a shell runs in UTF-8 mode and
     # spells its encoding "utf-8"; one started by a Python parent inherits
     # LC_CTYPE=C.UTF-8 from locale coercion (PEP 538) and spells it "UTF-8".
-    env = {k: v for k, v in os.environ.items()
-           if not k.startswith(("LC_", "LANG", "PYTHONUTF8", "PYTHONCOERCECLOCALE"))}
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(data.__file__)))
+    env = child_env()
     from_shell = [sys.executable, "-c", PRINT_CACHE_TAG]
     from_python = [sys.executable, "-c",
                    f"import subprocess, sys; subprocess.run({from_shell!r}, check=True)"]
@@ -356,14 +353,10 @@ for cache_dir in (None, sys.argv[1] + "/cache", sys.argv[1] + "/cache"):
 
 def test_a_set_is_utf_8_under_an_ascii_locale(tmp_path):
     # with locale coercion and UTF-8 mode off, the C locale's encoding is ASCII
-    env = {k: v for k, v in os.environ.items()
-           if not k.startswith(("LC_", "LANG", "PYTHONUTF8", "PYTHONCOERCECLOCALE"))}
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(data.__file__)))
-    ascii_env = dict(env, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
-    for name, child_env in (("ascii", ascii_env), ("default", env)):
+    for name, ascii_locale in (("ascii", True), ("default", False)):
         (tmp_path / name).mkdir()
         subprocess.run([sys.executable, "-c", ROUND_TRIP_CAFE, str(tmp_path / name)],
-                       env=child_env, capture_output=True, check=True)
+                       env=child_env(ascii_locale), capture_output=True, check=True)
     ascii_dir, default_dir = tmp_path / "ascii", tmp_path / "default"
     for name in ("set.csv", "set_params.csv"):
         assert (ascii_dir / name).read_bytes() == (default_dir / name).read_bytes()

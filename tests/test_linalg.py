@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -60,3 +62,35 @@ def test_svd_rejects_bad_input():
     with pytest.raises(ValueError):
         linalg.thin_svd(np.zeros((0, 3)))
 
+
+
+def test_one_blas_thread_pins_nests_and_restores_the_callers_count():
+    lib = linalg._openblas()
+    if lib is None:
+        pytest.skip("NumPy's BLAS here is not an OpenBLAS with a known thread-count symbol")
+    get, set_ = lib
+    before = get()
+    try:
+        for caller in (2, 1, 3):
+            set_(caller)
+            with linalg.one_blas_thread():
+                assert get() == 1
+                with linalg.one_blas_thread():
+                    assert get() == 1
+                assert get() == 1
+            assert get() == caller
+        with pytest.raises(ZeroDivisionError), linalg.one_blas_thread():
+            1 / 0
+        assert get() == caller
+    finally:
+        set_(before)
+
+
+def test_one_blas_thread_without_openblas_warns_and_runs_the_block(monkeypatch, caplog):
+    monkeypatch.setattr(linalg, "_openblas", lambda: None)
+    ran = []
+    with caplog.at_level(logging.WARNING, logger="mfcp"), linalg.one_blas_thread():
+        ran.append(True)
+    assert ran == [True]
+    [record] = caplog.records
+    assert record.levelno == logging.WARNING and "unpinned" in record.getMessage()

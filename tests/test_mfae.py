@@ -194,11 +194,11 @@ def test_early_stopped_calibration_matches_the_frozen_stack_bitwise(monkeypatch)
     pretrained = mfae.pretrain(cfg, lf)
     runs = []
     for tune in (mfae.fine_tune, stacked_fine_tune):
-        tuned = []
+        tuned = {}  # by the split's seed [seed, b, 1]: the splits run on a thread pool
 
         def recorded(model, *args, tune=tune, tuned=tuned, **kwargs):
             result = tune(model, *args, **kwargs)
-            tuned.append(trained_bits(model, result))
+            tuned[tuple(kwargs["seed"])] = trained_bits(model, result)
             return result
 
         monkeypatch.setattr(mfae, "fine_tune", recorded)
@@ -207,9 +207,9 @@ def test_early_stopped_calibration_matches_the_frozen_stack_bitwise(monkeypatch)
             patience=10, seed=1, max_epochs=400, adam=nn.AdamConfig(lr=2e-2))
         runs.append((tuned, [(rec.epoch, rec.critical_quantile, rec.radius.tobytes())
                              for rec in calibration.splits], calibration.radius.tobytes()))
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] and sorted(runs[0][0]) == [(1, b, 1) for b in range(3)]
     # at least two splits halt early, at different epochs
-    halted = {bits[3] for bits in runs[0][0] if bits[4]}
+    halted = {bits[3] for bits in runs[0][0].values() if bits[4]}
     assert len(halted) >= 2
 
 

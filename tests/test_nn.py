@@ -244,8 +244,9 @@ def test_adam_matches_textbook_expressions_bitwise():
     b1, b2 = cfg.beta1, cfg.beta2
     for t in range(1, 51):
         grads = [rng.normal(size=s) for s in shapes]
+        ref_grads = [g.copy() for g in grads]  # adam_step consumes its gradients
         nn.adam_step(state, params, grads)
-        for i, g in enumerate(grads):
+        for i, g in enumerate(ref_grads):
             ref_m[i] = b1 * ref_m[i] + (1.0 - b1) * g
             ref_v[i] = b2 * ref_v[i] + (1.0 - b2) * (g * g)
             m_hat = ref_m[i] / (1.0 - b1**t)

@@ -9,8 +9,9 @@ given, it writes the workload's inputs with perfbench/workloads.py
 child `python3 -m mfcp.cli <stage> --config config.txt` as the benchmark
 runs them, and checks each stage's outputs with the workload's own check.
 It then prints the seed's block: a `# seed <seed>  OPENBLAS_NUM_THREADS=<n>`
-line, with the value the children ran under (`unset` when it is not set:
-the bytes depend on it, see README), then one `<sha256>  <path>` line per
+line, with the value the children ran under (`unset` when it is not set;
+the stages pin the BLAS to one thread, so the bytes do not depend on it,
+see README), then one `<sha256>  <path>` line per
 file under out/, sorted by path. The parse cache out/cache/ is left out:
 its entries are zip archives stamped with the time they were written.
 
