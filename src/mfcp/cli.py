@@ -92,7 +92,10 @@ def parse_config(text) -> PipelineConfig:
                 raise ValueError(f"config key {key}: bad boolean {val!r}")
             setattr(cfg, key, _BOOL_WORDS[val.lower()])
         else:
-            setattr(cfg, key, t(val))
+            try:
+                setattr(cfg, key, t(val))
+            except ValueError as exc:
+                raise ValueError(f"config key {key}: {exc}") from None
     for key, (ok, rule) in _VALUE_RULES.items():
         if not ok(getattr(cfg, key)):
             raise ValueError(f"config key {key}: must be {rule}, got {getattr(cfg, key)!r}")
@@ -143,8 +146,11 @@ def _mfae_config(cfg) -> mfae.MfaeConfig:
 
 # stage input key -> (test, the rule it states), as _VALUE_RULES; a bool is not an int here
 _ARTIFACT_RULES = {
-    **dict.fromkeys(("train_names", "test_names", "complementary_names"), (
+    **dict.fromkeys(("train_names", "complementary_names"), (
         lambda v: type(v) is list and all(type(n) is str for n in v), "a list of snapshot names")),
+    # evaluate reports on the test set: an empty one has no mean error or coverage
+    "test_names": (lambda v: type(v) is list and v and all(type(n) is str for n in v),
+                   "a non-empty list of snapshot names"),
     "E_star": (lambda v: type(v) is int and v >= 0, "an int >= 0"),
     "R_star": (lambda v: type(v) is list and all(
         type(r) in (int, float) and 0 <= r <= sys.float_info.max for r in v),
@@ -321,8 +327,9 @@ def _leakage_check(meta, test_names):
         raise ValueError(f"test snapshots appear in training provenance: {overlap[:5]}")
 
 
-def _evaluate_subset(model, radius, lf, hf, names):
-    x, y = _paired_matrices(lf, hf, names)
+def _evaluate_subset(model, radius, x, y):
+    """Predict the (d_lf, n) LF columns `x`, band the prediction and score
+    it against the paired HF columns `y`; (y, pred, lower, upper, report)."""
     pred = mfae.predict(model, x)
     lower, upper = conformal.band(pred.T, radius)
     cov = conformal.coverage(lower, upper, y.T)
@@ -335,7 +342,7 @@ def _evaluate_subset(model, radius, lf, hf, names):
         "pointwise": cov.pointwise,
         "band_width_mean": cov.width_mean,
         "band_width_std": cov.width_std,
-        "n_snapshots": len(names),
+        "n_snapshots": y.shape[1],
     }
 
 
@@ -353,37 +360,42 @@ def cmd_evaluate(cfg):
             raise ValueError(f"test snapshot name {name!r} cannot be a file name in the "
                              f"file system encoding {sys.getfilesystemencoding()!r}") from None
     radius = np.array(calibration["R_star"], dtype=np.float64)
+    lf_names = set(lf.names)
+    comp_names = [n for n in split["complementary_names"] if n in lf_names]
+    # the test and complementary columns and the node coordinates are all
+    # evaluate reads of the two sets, which go before any prediction
+    test = _paired_matrices(lf, hf, test_names)
+    comp = _paired_matrices(lf, hf, comp_names) if comp_names else None
+    coords = hf.coords
+    del lf, hf
 
-    truth, pred, lower, upper, test_report = _evaluate_subset(model, radius, lf, hf, test_names)
+    truth, pred, lower, upper, test_report = _evaluate_subset(model, radius, *test)
     report = {
         "format_version": REPORT_VERSION,
         "delta": calibration["delta"],
         "kind": calibration["kind"],
         "test": test_report,
     }
-    lf_names = set(lf.names)
-    comp_names = [n for n in split["complementary_names"] if n in lf_names]
-    if comp_names:
-        *_, comp_report = _evaluate_subset(model, radius, lf, hf, comp_names)
+    if comp is not None:
+        *_, comp_report = _evaluate_subset(model, radius, *comp)
         report["complementary_test"] = comp_report
 
     pred_dir = os.path.join(cfg.out_dir, "predictions")
     os.makedirs(pred_dir, exist_ok=True)
-    heads = _row_heads(hf.coords[:, :1])  # node,x: the same in every file
+    heads = _row_heads(coords[:, :1])  # node,x: the same in every file
     for j, name in enumerate(test_names):
         with open(os.path.join(pred_dir, f"{name}.csv"), "w", encoding="utf-8") as fh:
             fh.write("node,x,truth,prediction,lower,upper\n")
             _write_rows(fh, heads, np.column_stack([truth[:, j], pred[:, j], lower[j], upper[j]]),
                         "\n")
 
-    if test_names:
-        try:
-            svg = _section_plot_svg(hf.coords[:, 0], truth[:, 0], pred[:, 0],
-                                    lower[0], upper[0], title=test_names[0])
-            with open(os.path.join(cfg.out_dir, "section_plot.svg"), "w", encoding="utf-8") as fh:
-                fh.write(svg)
-        except Exception as exc:  # plots are best-effort, never gate exit codes
-            log.warning("plot emission failed: %s", exc)
+    try:
+        svg = _section_plot_svg(coords[:, 0], truth[:, 0], pred[:, 0], lower[0], upper[0],
+                                title=test_names[0])
+        with open(os.path.join(cfg.out_dir, "section_plot.svg"), "w", encoding="utf-8") as fh:
+            fh.write(svg)
+    except Exception as exc:  # plots are best-effort, never gate exit codes
+        log.warning("plot emission failed: %s", exc)
 
     path = os.path.join(cfg.out_dir, "report.json")
     _write_json(path, report)

@@ -309,10 +309,12 @@ def apply_recipe(s, recipe, master_seed=0):
     """Run a degradation recipe over a snapshot set.
 
     Returns the degraded set and a provenance dict with one entry per stage
-    (kept mode count, retained energy, mask indices, ...).
+    (kept mode count, retained energy, mask indices, ...). The first stage
+    reads `s.fields` in place, so the input is held once; the returned set
+    shares no memory with `s`, also when no stage replaced the fields or
+    the coordinates (an empty recipe, or precision stages only).
     """
-    fields = s.fields.copy()
-    coords = s.coords.copy()
+    fields, coords = s.fields, s.coords
     provenance = {"stages": []}
     for pos, stage in enumerate(recipe.stages):
         seed = _stage_seed(stage, master_seed, pos)
@@ -323,8 +325,8 @@ def apply_recipe(s, recipe, master_seed=0):
                              "not all finite")
         provenance["stages"].append({"kind": stage.kind, **entry})
     out = SnapshotSet(
-        fields=fields,
-        coords=coords,
+        fields=fields.copy() if np.may_share_memory(fields, s.fields) else fields,
+        coords=coords.copy() if np.may_share_memory(coords, s.coords) else coords,
         params=s.params.copy(),
         param_names=list(s.param_names),
         names=list(s.names),

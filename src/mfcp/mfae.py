@@ -129,8 +129,11 @@ def fine_tune(model, x_lf, y_hf, epochs, monitor=None, patience=100,
     is always initialized from scratch here. The encoder runs once per call,
     on the training and the monitor rows, and the decoder and up-scaler
     train on those latents: the same bits as training the whole stack with
-    the encoder frozen, without its forward pass each epoch. Returns the
-    per-phase nn.TrainResult (loss history in normalized units).
+    the encoder frozen, without its forward pass each epoch. The raw
+    columns are released before training, so a caller that passes them as
+    temporaries (as `conformal.multi_split_calibrate` does) does not hold
+    them through it. Returns the per-phase nn.TrainResult (loss history in
+    normalized units).
     """
     if model.phase != PHASE_PRETRAINED:
         raise ValueError(f"fine_tune requires a pretrained model, got phase {model.phase!r}")
@@ -163,8 +166,12 @@ def fine_tune(model, x_lf, y_hf, epochs, monitor=None, patience=100,
     mon = None
     if monitor is not None:
         mon = (latents(monitor[0]), model.hf_stats.apply(monitor[1]).T)
-    result = nn.train(net, latents(x), model.hf_stats.apply(y).T, epochs=epochs,
-                      adam=adam, monitor=mon, patience=patience)
+    inputs, targets = latents(x), model.hf_stats.apply(y).T
+    # training reads only the latents and normalized targets: the raw columns
+    # go now, unless the caller holds them
+    del x_lf, y_hf, x, y, monitor
+    result = nn.train(net, inputs, targets, epochs=epochs, adam=adam, monitor=mon,
+                      patience=patience)
     model.phase = PHASE_FINE_TUNED
     return result
 

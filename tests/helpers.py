@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import tracemalloc
 
 import numpy as np
 
@@ -126,6 +127,16 @@ def params_digest(net):
         h.update(layer.weights.tobytes())
         h.update(layer.biases.tobytes())
     return h.hexdigest()
+
+
+def traced_peak(run):
+    """The most memory tracemalloc saw allocated at once while `run()` ran."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # --- child processes ---------------------------------------------------------

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,6 +163,16 @@ def test_out_of_range_config_values_exit_2(tmp_path, capsys, line, message):
     for cmd in ("degrade", "pretrain", "calibrate"):
         assert cli.main([cmd, "--config", str(tmp_path / "c.txt")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("pretrain_epochs = 1e3", "invalid literal for int() with base 10: '1e3'"),
+    ("learning_rate = fast", "could not convert string to float: 'fast'"),
+], ids=["int", "float"])
+def test_unparsable_config_values_name_their_key(tmp_path, capsys, line, message):
+    (tmp_path / "c.txt").write_text(line + "\n")
+    assert cli.main(["degrade", "--config", str(tmp_path / "c.txt")]) == 2
+    assert capsys.readouterr().err == f"error: config key {line.split()[0]}: {message}\n"
 
 
 def test_config_value_rules_keep_their_boundaries():
@@ -771,8 +782,37 @@ def set_radius(value):
 
 
 NAMES_RULE = "must be a list of snapshot names"
+TEST_NAMES_RULE = " test_names: must be a non-empty list of snapshot names"
 E_STAR_RULE = " E_star: must be an int >= 0"
 R_STAR_RULE = " R_star: must be a list of finite numbers >= 0"
+
+
+def test_evaluate_frees_the_full_sets_before_any_prediction(tmp_path, monkeypatch):
+    # at each prediction no traced block is as large as the HF set's fields:
+    # evaluate keeps only the test and complementary columns and the coordinates
+    hf = make_pressure_set(60, 2000, seed=3)
+    save_csv(hf, tmp_path / "hf.csv")
+    (tmp_path / "recipe.json").write_text(
+        DegradationRecipe([PodTruncate(energy=0.9), Fps(m=40, seed=2)]).to_json())
+    cfg = dataclasses.replace(chain_config(tmp_path), d_lf=40, d_hf=2000, encoder_widths="8",
+                              decoder_widths="8", upscaler_hidden=8, pretrain_epochs=5,
+                              max_finetune_epochs=5)
+    (tmp_path / "c.txt").write_text(dump_config(cfg))
+    for cmd in ("degrade", "pretrain", "calibrate", "finetune"):
+        assert cli.main([cmd, "--config", str(tmp_path / "c.txt")]) == 0
+    largest, predict = [], mfae.predict
+
+    def traced_predict(model, x_lf):
+        largest.append(max(trace.size for trace in tracemalloc.take_snapshot().traces))
+        return predict(model, x_lf)
+
+    monkeypatch.setattr(mfae, "predict", traced_predict)
+    tracemalloc.start()
+    try:
+        cli.cmd_evaluate(cfg)
+    finally:
+        tracemalloc.stop()
+    assert len(largest) == 2 and max(largest) < hf.fields.nbytes
 
 
 @pytest.mark.parametrize("stage, name, edit, message", [
@@ -786,7 +826,8 @@ R_STAR_RULE = " R_star: must be a list of finite numbers >= 0"
     ("calibrate", "split.json", lambda doc: [1], ": must be a mapping"),
     ("calibrate", "split.json", set_key(train_names="a"), " train_names: " + NAMES_RULE),
     ("calibrate", "split.json", set_key(train_names=[1, 2]), " train_names: " + NAMES_RULE),
-    ("evaluate", "split.json", drop_key("test_names"), " test_names: " + NAMES_RULE),
+    ("evaluate", "split.json", drop_key("test_names"), TEST_NAMES_RULE),
+    ("evaluate", "split.json", set_key(test_names=[]), TEST_NAMES_RULE),
     ("evaluate", "split.json", set_key(complementary_names=None),
      " complementary_names: " + NAMES_RULE),
     ("evaluate", "calibration.json", lambda doc: doc.update(R_star=dict(enumerate(doc["R_star"]))),
@@ -798,8 +839,8 @@ R_STAR_RULE = " R_star: must be a list of finite numbers >= 0"
     ("evaluate", "calibration.json", set_radius("0.5"), R_STAR_RULE),
 ], ids=["e-star-null", "e-star-a-float", "e-star-a-bool", "e-star-a-string", "e-star-negative",
         "no-e-star", "calibration-not-a-mapping", "split-not-a-mapping", "train-names-a-string",
-        "train-names-of-ints", "no-test-names", "complementary-names-null", "r-star-a-mapping",
-        "r-star-nan", "r-star-negative", "r-star-a-huge-int", "r-star-a-bool",
+        "train-names-of-ints", "no-test-names", "test-names-empty", "complementary-names-null",
+        "r-star-a-mapping", "r-star-nan", "r-star-negative", "r-star-a-huge-int", "r-star-a-bool",
         "r-star-a-string"])
 def test_malformed_stage_input_exits_2(tmp_path, capsys, pipeline, stage, name, edit, message):
     # a stage checks the keys it reads of split.json and calibration.json;

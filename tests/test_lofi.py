@@ -16,7 +16,7 @@ from mfcp.lofi import (
     Voxelize,
 )
 
-from helpers import make_pressure_set
+from helpers import make_pressure_set, traced_peak
 
 
 def test_pod_rank_one_is_exact():
@@ -392,6 +392,25 @@ def test_apply_recipe_matches_direct_chain_of_every_stage_kind():
         {"kind": "noise", "sigma": 0.01},
         {"kind": "bias", "offset": -0.25},
     ]}
+
+
+@pytest.mark.parametrize("stages", [
+    [], [Quantize(levels=16), Bias(offset=0.5)], [Fps(m=10, seed=1)],
+], ids=["empty", "precision-only", "resolution"])
+def test_apply_recipe_output_shares_no_memory_with_its_input(stages):
+    s = make_pressure_set(6, 30, seed=4)
+    out, _ = lofi.apply_recipe(s, DegradationRecipe(stages))
+    for name in ("fields", "coords", "params"):
+        assert not np.shares_memory(getattr(out, name), getattr(s, name))
+
+
+def test_apply_recipe_holds_its_input_fields_once():
+    # the first stage reads the input fields in place, so the recipe's peak is
+    # the stage's own plus the finiteness mask, not that plus a copy
+    s = make_pressure_set(40, 2000, seed=5)
+    stage = traced_peak(lambda: lofi.perturb(s.fields, 0.0, 0.5, 0))
+    recipe = traced_peak(lambda: lofi.apply_recipe(s, DegradationRecipe([Bias(offset=0.5)])))
+    assert recipe < stage + s.fields.nbytes / 2
 
 
 def test_recipe_replay_bit_identical():

@@ -8,7 +8,7 @@ import pytest
 from mfcp import conformal, mfae, nn
 from mfcp.data import compute_norm_stats, metrics
 
-from helpers import gradients, params_digest, sinusoid_pair_benchmark
+from helpers import gradients, params_digest, sinusoid_pair_benchmark, traced_peak
 
 
 def small_config(**over):
@@ -211,6 +211,24 @@ def test_early_stopped_calibration_matches_the_frozen_stack_bitwise(monkeypatch)
     # at least two splits halt early, at different epochs
     halted = {bits[3] for bits in runs[0][0].values() if bits[4]}
     assert len(halted) >= 2
+
+
+def test_fine_tune_releases_the_raw_columns_before_training():
+    # passed as temporaries, the raw training and monitor columns are freed
+    # before nn.train, whose arrays set the peak: it is lower by at least the
+    # HF columns than when the caller holds them
+    lf, hf, _ = sinusoid_pair_benchmark(60, 16, 2000, seed=5)
+    pretrained = mfae.pretrain(small_config(d_hf=2000, pretrain_epochs=5), lf)
+
+    def held():
+        x, y, x_val, y_val = (a.copy() for a in (lf[:, :40], hf[:, :40], lf[:, 40:], hf[:, 40:]))
+        mfae.fine_tune(mfae.clone(pretrained), x, y, epochs=3, monitor=(x_val, y_val))
+
+    def passed():
+        mfae.fine_tune(mfae.clone(pretrained), lf[:, :40].copy(), hf[:, :40].copy(), epochs=3,
+                       monitor=(lf[:, 40:].copy(), hf[:, 40:].copy()))
+
+    assert traced_peak(held) - traced_peak(passed) >= 0.9 * hf.nbytes
 
 
 def test_fine_tune_for_zero_epochs_keeps_the_pretrained_decoder():

@@ -2,7 +2,8 @@
 
     python3 tools/traffic_coverage.py
 
-Run from the repository root. Under `sys.settrace` it runs the traffic the
+Run from the repository root. Under `sys.settrace`, and `threading.settrace`
+for the threads it starts (calibrate's split pool), it runs the traffic the
 project serves, in one process:
 
 1. both benchmark workloads of perfbench/workloads.py (`a7_cli`,
@@ -23,6 +24,7 @@ import os
 import runpy
 import sys
 import tempfile
+import threading
 import types
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -89,11 +91,13 @@ def main():
         return None
 
     with tempfile.TemporaryDirectory(prefix="mfcp_traffic_") as workdir:
+        threading.settrace(scope)
         sys.settrace(scope)
         try:
             run_traffic(workdir)
         finally:
             sys.settrace(None)
+            threading.settrace(None)
 
     total = 0
     for name in sorted(os.listdir(PACKAGE)):
