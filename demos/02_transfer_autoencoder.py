@@ -9,7 +9,7 @@ of generating parameters, which makes the learned coordinates track them.
 
 import numpy as np
 
-from mfcp import mfae, nn
+from mfcp import mfae
 from mfcp.data import metrics
 
 rng = np.random.default_rng(1)
@@ -37,7 +37,7 @@ hf_all = np.stack([hf_curve(a, b, x_hf) for a, b in params], axis=1)
 config = mfae.MfaeConfig(
     d_lf=d_lf, d_hf=d_hf,
     encoder_widths=[32, 16], latent_dim=2, decoder_widths=[16, 32],
-    seed=42, pretrain_epochs=1500, adam=nn.AdamConfig(lr=3e-3),
+    seed=42, pretrain_epochs=1500, learning_rate=3e-3,
 )
 model = mfae.pretrain(config, lf_all)
 print(f"pretrain: final reconstruction loss {model.pretrain_losses[-1]:.2e}")
@@ -52,7 +52,7 @@ for j, name in enumerate(["a", "b"]):
 # --- phase two: freeze the encoder, adapt on 30 scarce HF pairs
 train_ids = rng.choice(300, size=30, replace=False)
 mfae.fine_tune(model, lf_all[:, train_ids], hf_all[:, train_ids],
-               epochs=1200, adam=nn.AdamConfig(lr=1e-3))
+               epochs=1200, lr=1e-3)
 print(f"\nfine-tune: up-scaler {d_lf} -> {config.upscaler_width()} -> {d_hf}, "
       "encoder frozen")
 

@@ -13,7 +13,7 @@ the band width while keeping per-node coverage high.
 
 import numpy as np
 
-from mfcp import conformal, mfae, nn
+from mfcp import conformal, mfae
 
 rng = np.random.default_rng(2)
 
@@ -29,8 +29,7 @@ hf = np.stack([a * np.sin(np.pi * x_hf) + b * np.cos(2 * np.pi * x_hf)
 
 model = mfae.pretrain(
     mfae.MfaeConfig(d_lf=d_lf, d_hf=d_hf, encoder_widths=[24], latent_dim=2,
-                    decoder_widths=[24], seed=7, pretrain_epochs=900,
-                    adam=nn.AdamConfig(lr=3e-3)),
+                    decoder_widths=[24], seed=7, pretrain_epochs=900, learning_rate=3e-3),
     lf,
 )
 
@@ -42,12 +41,12 @@ for kind in conformal.SCORE_KINDS:
     calib = conformal.multi_split_calibrate(
         lf[:, train], hf[:, train], model,
         n_splits=20, cal_fraction=0.3, delta=0.1, kind=kind,
-        patience=50, seed=3, max_epochs=400, adam=nn.AdamConfig(lr=3e-3),
+        patience=50, seed=3, max_epochs=400, lr=3e-3,
     )
     # final model: all training pairs, stopping epoch from the splits
     final = mfae.clone(model)
     mfae.fine_tune(final, lf[:, train], hf[:, train], epochs=calib.epoch,
-                   adam=nn.AdamConfig(lr=3e-3))
+                   lr=3e-3)
     pred = mfae.predict(final, lf[:, test])
     lower, upper = conformal.band(pred.T, calib.radius)
     cov = conformal.coverage(lower, upper, hf[:, test].T)

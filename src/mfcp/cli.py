@@ -121,25 +121,27 @@ def derive_seed(master, label) -> int:
     return int.from_bytes(digest[:4], "big")
 
 
-def _widths(text):
-    text = text.strip()
-    if not text:
-        return []
-    return [int(tok) for tok in text.split(",")]
+def _widths(key, text):
+    """The ints of config key `key`'s comma-separated list `text`; [] for an empty one."""
+    try:
+        return [int(tok) for tok in text.split(",")] if text.strip() else []
+    except ValueError:
+        raise ValueError(f"config key {key}: must be a comma-separated list of ints, "
+                         f"got {text!r}") from None
 
 
 def _mfae_config(cfg) -> mfae.MfaeConfig:
     return mfae.MfaeConfig(
         d_lf=cfg.d_lf,
         d_hf=cfg.d_hf,
-        encoder_widths=_widths(cfg.encoder_widths),
+        encoder_widths=_widths("encoder_widths", cfg.encoder_widths),
         latent_dim=cfg.latent_dim,
-        decoder_widths=_widths(cfg.decoder_widths),
+        decoder_widths=_widths("decoder_widths", cfg.decoder_widths),
         upscaler_hidden=cfg.upscaler_hidden,
         force_adapter=cfg.force_adapter,
         seed=derive_seed(cfg.seed, "init"),
         pretrain_epochs=cfg.pretrain_epochs,
-        adam=nn.AdamConfig(lr=cfg.learning_rate),
+        learning_rate=cfg.learning_rate,
         normalization=cfg.normalization,
     )
 
@@ -152,6 +154,9 @@ _ARTIFACT_RULES = {
     "test_names": (lambda v: type(v) is list and v and all(type(n) is str for n in v),
                    "a non-empty list of snapshot names"),
     "E_star": (lambda v: type(v) is int and v >= 0, "an int >= 0"),
+    # no int lies in (0, 1), and NaN fails the comparison
+    "delta": (lambda v: type(v) is float and 0 < v < 1, "a number in (0, 1)"),
+    "kind": (lambda v: v in conformal.SCORE_KINDS, f"one of {list(conformal.SCORE_KINDS)}"),
     "R_star": (lambda v: type(v) is list and all(
         type(r) in (int, float) and 0 <= r <= sys.float_info.max for r in v),
         "a list of finite numbers >= 0"),
@@ -347,8 +352,12 @@ def _evaluate_subset(model, radius, x, y):
 
 
 def cmd_evaluate(cfg):
-    calibration = _read_artifact(os.path.join(cfg.out_dir, "calibration.json"), "R_star")
+    path = os.path.join(cfg.out_dir, "calibration.json")
+    calibration = _read_artifact(path, "R_star", "delta", "kind")
     model, lf, hf, split = _stage_inputs(cfg, "model_final")
+    if len(calibration["R_star"]) != model.config.d_hf:
+        raise ValueError(f"{path} R_star: must hold d_hf = {model.config.d_hf} radii, "
+                         f"got {len(calibration['R_star'])}")
     test_names = split["test_names"]
     _leakage_check(model.provenance, test_names)
     for name in test_names:  # each names its file predictions/<name>.csv

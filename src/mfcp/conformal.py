@@ -97,7 +97,7 @@ class MultiSplitCalibration:
 
 def multi_split_calibrate(x_lf, y_hf, pretrained, n_splits, cal_fraction, delta,
                           kind, patience=100, seed=0, max_epochs=2000,
-                          adam=None) -> MultiSplitCalibration:
+                          lr=None) -> MultiSplitCalibration:
     """Calibrate radii and the stopping epoch over B random re-splits.
 
     For each split b the high-fidelity pairs are partitioned into a
@@ -143,7 +143,7 @@ def multi_split_calibrate(x_lf, y_hf, pretrained, n_splits, cal_fraction, delta,
             result = mfae.fine_tune(
                 model, x[:, train_idx], y[:, train_idx],
                 epochs=max_epochs, monitor=(x[:, cal_idx], y[:, cal_idx]),
-                patience=patience, adam=adam, seed=[seed, b, 1],
+                patience=patience, lr=lr, seed=[seed, b, 1],
             )
         except nn.TrainingDiverged as exc:
             raise nn.TrainingDiverged(exc.epoch, f"split {b} diverged") from exc

@@ -11,7 +11,7 @@ import copy
 import json
 import os
 import tokenize
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .data import NORM_MODES, NormStats, compute_norm_stats
 PHASE_PRETRAINED = "pretrained"
 PHASE_FINE_TUNED = "fine_tuned"
 
-BUNDLE_VERSION = 5
+BUNDLE_VERSION = 6
 
 NETWORKS = ("encoder", "decoder", "upscaler")
 STATS = ("lf_stats", "hf_stats")
@@ -41,10 +41,17 @@ class MfaeConfig:
     force_adapter: bool = False
     seed: int = 0
     pretrain_epochs: int = 2000
-    adam: nn.AdamConfig = field(default_factory=nn.AdamConfig)
+    learning_rate: float = 1e-3  # Adam's; fine_tune's default is a tenth of it
     normalization: str = "per_node_standard"
 
     def __post_init__(self):
+        lr = self.learning_rate  # NaN fails the `not`; inf passes, but no int past float's range
+        if not lr > 0:
+            raise ValueError(f"learning_rate must be > 0, got {lr!r}")
+        try:
+            float(lr)
+        except OverflowError:
+            raise ValueError(f"learning_rate must fit in a float, got {lr!r}") from None
         if self.normalization not in NORM_MODES:
             raise ValueError(f"unknown normalization mode {self.normalization!r}")
         if not 1 <= self.latent_dim <= self.d_lf:
@@ -112,14 +119,14 @@ def pretrain(config, x_lf) -> MfaeModel:
     encoder = nn.Mlp.from_widths(config.dims("encoder"), seed=[config.seed, 0])
     decoder = nn.Mlp.from_widths(config.dims("decoder"), seed=[config.seed, 1])
     auto = nn.stack(encoder, decoder)
-    result = nn.train(auto, samples, samples, epochs=config.pretrain_epochs, adam=config.adam)
+    result = nn.train(auto, samples, samples, config.pretrain_epochs, config.learning_rate)
     return MfaeModel(config=config, encoder=encoder, decoder=decoder,
                      phase=PHASE_PRETRAINED, lf_stats=lf_stats,
                      pretrain_losses=result.losses)
 
 
 def fine_tune(model, x_lf, y_hf, epochs, monitor=None, patience=100,
-              adam=None, seed=None):
+              lr=None, seed=None):
     """Phase two: freeze the encoder, adapt decoder and fresh up-scaler.
 
     `x_lf`/`y_hf` are paired (d_lf, n)/(d_hf, n) matrices. Train for
@@ -152,8 +159,8 @@ def fine_tune(model, x_lf, y_hf, epochs, monitor=None, patience=100,
     model.hf_stats = compute_norm_stats(y, cfg.normalization)
 
     # one tenth of the pretraining rate unless given explicitly
-    if adam is None:
-        adam = replace(cfg.adam, lr=cfg.adam.lr / 10.0)
+    if lr is None:
+        lr = cfg.learning_rate / 10.0
 
     # the frozen encoder maps each row to the same latent every epoch, so it
     # runs once here and training starts at the decoder (the mask: see nn)
@@ -170,7 +177,7 @@ def fine_tune(model, x_lf, y_hf, epochs, monitor=None, patience=100,
     # training reads only the latents and normalized targets: the raw columns
     # go now, unless the caller holds them
     del x_lf, y_hf, x, y, monitor
-    result = nn.train(net, inputs, targets, epochs=epochs, adam=adam, monitor=mon,
+    result = nn.train(net, inputs, targets, epochs=epochs, lr=lr, monitor=mon,
                       patience=patience)
     model.phase = PHASE_FINE_TUNED
     return result
@@ -228,7 +235,7 @@ def save_model(model, out_dir, extra=None):
             with contextlib.suppress(FileNotFoundError):
                 os.remove(os.path.join(out_dir, name))
     meta = {"format_version": BUNDLE_VERSION, "phase": model.phase,
-            "config": asdict(model.config)}  # nested AdamConfig becomes a dict
+            "config": asdict(model.config)}
     with open(os.path.join(out_dir, "meta.json"), "w", encoding="utf-8") as fh:
         json.dump({**meta, **(extra or {})}, fh, indent=2, sort_keys=True)
 
@@ -248,25 +255,21 @@ _JSON_TYPES = {int: ((int,), "an int"), float: ((int, float), "a number"), bool:
                str: ((str,), "a string"), list: ((list,), "a list of ints")}
 
 
-def _from_mapping(cls, doc, prefix=""):
+def _from_mapping(cls, doc):
     """`cls(**doc)` for a meta.json mapping with exactly the fields of dataclass
-    `cls`, each of its type; dataclass fields nest, named by their path `prefix`."""
+    `cls`, each of its type."""
     if not isinstance(doc, dict):
-        raise ValueError(f"{prefix}must be a mapping, got {doc!r}")
+        raise ValueError(f"must be a mapping, got {doc!r}")
     names = {f.name for f in fields(cls)}
     if set(doc) != names:
-        raise ValueError(f"{prefix}unknown key(s) {sorted(set(doc) - names)}, "
+        raise ValueError(f"unknown key(s) {sorted(set(doc) - names)}, "
                          f"missing key(s) {sorted(names - set(doc))}")
-    values = dict(doc)
     for f in fields(cls):
         value = doc[f.name]
-        if f.type not in _JSON_TYPES:
-            values[f.name] = _from_mapping(f.type, value, f"{prefix}{f.name} ")
-            continue
         types, rule = _JSON_TYPES[f.type]
         if type(value) not in types or f.type is list and any(type(w) is not int for w in value):
-            raise ValueError(f"{prefix}{f.name} must be {rule}, got {value!r}")
-    return cls(**values)
+            raise ValueError(f"{f.name} must be {rule}, got {value!r}")
+    return cls(**doc)
 
 
 def _read(where, read, *args):

@@ -203,35 +203,17 @@ def mse_loss(pred, target):
     return float(np.add.reduce(diff, axis=None) / diff.size), grad  # the bits of np.mean
 
 
-@dataclass
-class AdamConfig:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self):
-        # `not` so that NaN fails; inf stays legal, but not an int too large for a float
-        for name in ("lr", "eps"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"adam {name} must be > 0, got {value!r}")
-            try:
-                float(value)
-            except OverflowError:
-                raise ValueError(f"adam {name} must fit in a float, got {value!r}") from None
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"adam {name} must be >= 0 and < 1, got {getattr(self, name)!r}")
+# Adam's moment decay rates and denominator offset: the defaults of Kingma & Ba
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class AdamState:
-    """First/second-moment accumulators matching a parameter list, plus one
-    scratch array per parameter; with the gradients as the second scratch
-    (see `adam_step`), a step allocates nothing."""
+    """Adam at learning rate `lr`: first/second-moment accumulators matching a
+    parameter list, plus one scratch array per parameter; with the gradients
+    as the second scratch (see `adam_step`), a step allocates nothing."""
 
-    def __init__(self, params, config=None):
-        self.config = config or AdamConfig()
+    def __init__(self, params, lr=1e-3):
+        self.lr = lr
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.scratch = [np.empty_like(p) for p in params]
@@ -249,22 +231,21 @@ def adam_step(state, params, grads):
     """
     if len(params) != len(state.m) or len(grads) != len(params):
         raise ValueError("parameter/gradient/state length mismatch")
-    c = state.config
     state.t += 1
     t = state.t
     for p, g, m, v, s1 in zip(params, grads, state.m, state.v, state.scratch):
-        m *= c.beta1
-        np.multiply(g, 1.0 - c.beta1, out=s1)
+        m *= BETA1
+        np.multiply(g, 1.0 - BETA1, out=s1)
         m += s1
-        v *= c.beta2
+        v *= BETA2
         np.multiply(g, g, out=s1)
-        s1 *= 1.0 - c.beta2
+        s1 *= 1.0 - BETA2
         v += s1
-        np.divide(m, 1.0 - c.beta1**t, out=s1)
-        s1 *= c.lr
-        np.divide(v, 1.0 - c.beta2**t, out=g)  # g is read no more: the second scratch
+        np.divide(m, 1.0 - BETA1**t, out=s1)
+        s1 *= state.lr
+        np.divide(v, 1.0 - BETA2**t, out=g)  # g is read no more: the second scratch
         np.sqrt(g, out=g)
-        g += c.eps
+        g += EPS
         s1 /= g
         p -= s1
 
@@ -277,9 +258,9 @@ class TrainResult:
     halted_early: bool = False
 
 
-def train(net, inputs, targets, epochs, adam=None, monitor=None, patience=100):
-    """Full-batch gradient descent with Adam for `epochs` >= 0 epochs; 0
-    leaves the initial weights.
+def train(net, inputs, targets, epochs, lr=1e-3, monitor=None, patience=100):
+    """Full-batch gradient descent with Adam at rate `lr` for `epochs` >= 0
+    epochs; 0 leaves the initial weights.
 
     inputs/targets are (n, d_in)/(n, d_out). With `monitor=(x_val, y_val)`
     the validation MSE is tracked per epoch (epoch 0 = initial weights);
@@ -303,7 +284,7 @@ def train(net, inputs, targets, epochs, adam=None, monitor=None, patience=100):
         raise ValueError("inputs/targets must be (n, d_in)/(n, d_out) with equal n")
     flat = _bind(net.layers, parameters(net.layers))
     gflat = np.empty_like(flat)
-    state = AdamState([flat], adam)
+    state = AdamState([flat], lr)
 
     def val_mse():
         err, _ = forward(net, monitor[0])  # a fresh array: square its error in place

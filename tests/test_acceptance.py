@@ -87,7 +87,7 @@ def test_a2_adam_matches_scripted_transcript():
         transcript.append(theta_ref)
 
     theta = np.array([5.0])
-    state = nn.AdamState([theta], nn.AdamConfig(lr=lr, beta1=b1, beta2=b2, eps=eps))
+    state = nn.AdamState([theta], lr)
     for t in range(200):
         nn.adam_step(state, [theta], [np.array([2.0 * (theta[0] - target)])])
         assert abs(theta[0] - transcript[t]) <= 1e-12, f"step {t + 1}"
@@ -183,7 +183,7 @@ def stability_model():
     lf, hf, _ = sinusoid_pair_benchmark(70, 16, 24, seed=60)
     cfg = mfae.MfaeConfig(
         d_lf=16, d_hf=24, encoder_widths=[12], latent_dim=2, decoder_widths=[12],
-        seed=61, pretrain_epochs=400, adam=nn.AdamConfig(lr=3e-3),
+        seed=61, pretrain_epochs=400, learning_rate=3e-3,
     )
     model = mfae.pretrain(cfg, lf)
     return model, lf[:, :40], hf[:, :40]
@@ -193,7 +193,7 @@ def test_a6_multi_split_stability(stability_model):
     model, x, y = stability_model
     # fine-tune fast enough that the patience criterion genuinely fires
     kwargs = dict(cal_fraction=0.3, delta=0.1, kind="linf", patience=25,
-                  max_epochs=500, adam=nn.AdamConfig(lr=1e-2))
+                  max_epochs=500, lr=1e-2)
     multi, single = [], []
     epochs_seen = []
     for rep in range(20):
@@ -294,7 +294,7 @@ def test_a8_adapter_necessity():
 
     cfg = mfae.MfaeConfig(
         d_lf=d, d_hf=d, encoder_widths=[16], latent_dim=2, decoder_widths=[],
-        seed=3, pretrain_epochs=1200, adam=nn.AdamConfig(lr=3e-3),
+        seed=3, pretrain_epochs=1200, learning_rate=3e-3,
         normalization="none",
     )
     base = mfae.pretrain(cfg, lf)
@@ -304,7 +304,7 @@ def test_a8_adapter_necessity():
     for force in (False, True):
         model = mfae.clone(base)
         model.config = mfae.MfaeConfig(**{**model.config.__dict__, "force_adapter": force})
-        mfae.fine_tune(model, lf, hf, epochs=budget, adam=nn.AdamConfig(lr=3e-3), seed=11)
+        mfae.fine_tune(model, lf, hf, epochs=budget, lr=3e-3, seed=11)
         assert (model.upscaler is not None) == force
         mse[force] = float(np.mean((mfae.predict(model, lf) - hf) ** 2))
     assert mse[True] <= 0.5 * mse[False]

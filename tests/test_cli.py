@@ -175,6 +175,22 @@ def test_unparsable_config_values_name_their_key(tmp_path, capsys, line, message
     assert capsys.readouterr().err == f"error: config key {line.split()[0]}: {message}\n"
 
 
+@pytest.mark.parametrize("line", ["encoder_widths = 64,,32", "encoder_widths = 64;32",
+                                  "decoder_widths = 16,x", "decoder_widths = ,"])
+def test_malformed_widths_name_their_key(tmp_path, capsys, line):
+    key, _, value = line.partition(" = ")
+    (tmp_path / "c.txt").write_text(f"{line}\nout_dir = {tmp_path / 'out'}\n")
+    assert cli.main(["pretrain", "--config", str(tmp_path / "c.txt")]) == 2
+    assert capsys.readouterr().err == (f"error: config key {key}: must be a comma-separated "
+                                       f"list of ints, got {value!r}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_empty_widths_mean_no_hidden_layer():
+    assert cli._widths("encoder_widths", "") == cli._widths("decoder_widths", "  ") == []
+    assert cli._widths("encoder_widths", "64, 32") == [64, 32]
+
+
 def test_config_value_rules_keep_their_boundaries():
     cfg = parse_config("patience = 1\nlearning_rate = 1e-300\n"
                        "pretrain_epochs = 1\nmax_finetune_epochs = 1\n")
@@ -629,10 +645,6 @@ def edit_config(**values):
     return lambda meta, _: meta["config"].update(values)
 
 
-def edit_adam(**values):
-    return lambda meta, _: meta["config"]["adam"].update(values)
-
-
 def copy_from_final(*names):
     """An edit that copies files `names` of model_final into the bundle."""
     def edit(meta, bundle_dir):
@@ -727,7 +739,8 @@ PICKLE_RULE = "Array can't be memory-mapped: Python objects in dtype."
 
 @pytest.mark.parametrize("edit, message", [
     (edit_config(bogus=1), "{meta} config: unknown key(s) ['bogus'], missing key(s) []"),
-    (edit_config(adam=5), "{meta} config: adam must be a mapping, got 5"),
+    (edit_config(adam={"lr": 0.003}),
+     "{meta} config: unknown key(s) ['adam'], missing key(s) []"),
     (edit_config(normalization="bogus"), "{meta} config: unknown normalization mode 'bogus'"),
     (lambda meta, _: [1], "{meta}: must be a mapping with the keys " + META_KEYS),
     (edit_config(latent_dim="3"), "{meta} config: latent_dim must be an int, got '3'"),
@@ -742,24 +755,26 @@ PICKLE_RULE = "Array can't be memory-mapped: Python objects in dtype."
      "{meta} format_version: unsupported bundle version 1"),
     (lambda meta, _: meta.update(format_version=4),
      "{meta} format_version: unsupported bundle version 4"),
+    (lambda meta, _: meta.update(format_version=5),
+     "{meta} format_version: unsupported bundle version 5"),
     (edit_config(normalization=1), "{meta} config: normalization must be a string, got 1"),
-    (edit_adam(lr="1"), "{meta} config: adam lr must be a number, got '1'"),
-    (edit_adam(eps=False), "{meta} config: adam eps must be a number, got False"),
-    (edit_adam(beta1=1.5), "{meta} config: adam beta1 must be >= 0 and < 1, got 1.5"),
-    (edit_adam(beta2=1000000), "{meta} config: adam beta2 must be >= 0 and < 1, got 1000000"),
-    (edit_adam(lr=float("nan")), "{meta} config: adam lr must be > 0, got nan"),
-    (edit_adam(eps=0), "{meta} config: adam eps must be > 0, got 0"),
-    (edit_adam(lr=10**400), f"{{meta}} config: adam lr must fit in a float, got {10**400}"),
+    (edit_config(learning_rate="1"), "{meta} config: learning_rate must be a number, got '1'"),
+    (edit_config(learning_rate=False),
+     "{meta} config: learning_rate must be a number, got False"),
+    (edit_config(learning_rate=float("nan")), "{meta} config: learning_rate must be > 0, got nan"),
+    (edit_config(learning_rate=0), "{meta} config: learning_rate must be > 0, got 0"),
+    (edit_config(learning_rate=10**400),
+     f"{{meta}} config: learning_rate must fit in a float, got {10**400}"),
     (edit_npy("lf_stats", lambda flat: flat.round().astype(np.int64)),
      "{lf_stats}: " + NPY_RULE + "1-D <i8"),
     (edit_config(d_lf=10**400), f"{{meta}} config: a {10**400} x 10 layer has {10**401} weights, "
                                 f"more than MAX_LAYER_WEIGHTS = {mfae.MAX_LAYER_WEIGHTS}"),
-], ids=["unknown-config-key", "adam-not-a-mapping", "unknown-norm-mode", "meta-not-a-mapping",
+], ids=["unknown-config-key", "adam-an-unknown-key", "unknown-norm-mode", "meta-not-a-mapping",
         "int-as-string", "int-as-bool", "widths-as-string", "widths-of-floats",
         "upscaler-hidden-as-string", "force-adapter-as-int", "version-1-bundle", "version-4-bundle",
-        "normalization-as-int", "adam-lr-as-string", "adam-eps-as-bool", "adam-beta1-above-1",
-        "adam-beta2-a-huge-int", "adam-lr-nan", "adam-eps-zero", "adam-lr-a-huge-int",
-        "lf-stats-as-int", "d-lf-past-the-float-range"])
+        "version-5-bundle", "normalization-as-int", "adam-lr-as-string", "adam-lr-as-bool",
+        "adam-lr-nan", "adam-lr-zero", "adam-lr-a-huge-int", "lf-stats-as-int",
+        "d-lf-past-the-float-range"])
 def test_malformed_bundle_meta_exits_2(tmp_path, capsys, pipeline, edit, message):
     code, err, bundle_dir = run_on_edited_bundle(tmp_path, capsys, pipeline,
                                                  "model_pretrained", edit)
@@ -785,6 +800,8 @@ NAMES_RULE = "must be a list of snapshot names"
 TEST_NAMES_RULE = " test_names: must be a non-empty list of snapshot names"
 E_STAR_RULE = " E_star: must be an int >= 0"
 R_STAR_RULE = " R_star: must be a list of finite numbers >= 0"
+DELTA_RULE = " delta: must be a number in (0, 1)"
+KIND_RULE = " kind: must be one of ['linf', 'normalized_l2']"
 
 
 def test_evaluate_frees_the_full_sets_before_any_prediction(tmp_path, monkeypatch):
@@ -837,11 +854,24 @@ def test_evaluate_frees_the_full_sets_before_any_prediction(tmp_path, monkeypatc
     ("evaluate", "calibration.json", set_radius(10**400), R_STAR_RULE),
     ("evaluate", "calibration.json", set_radius(True), R_STAR_RULE),
     ("evaluate", "calibration.json", set_radius("0.5"), R_STAR_RULE),
+    ("evaluate", "calibration.json", lambda doc: doc.update(R_star=doc["R_star"][:-1]),
+     " R_star: must hold d_hf = 24 radii, got 23"),
+    ("evaluate", "calibration.json", set_key(R_star=[]),
+     " R_star: must hold d_hf = 24 radii, got 0"),
+    ("evaluate", "calibration.json", set_key(delta=float("nan")), DELTA_RULE),
+    ("evaluate", "calibration.json", drop_key("delta"), DELTA_RULE),
+    ("evaluate", "calibration.json", set_key(delta="0.2"), DELTA_RULE),
+    ("evaluate", "calibration.json", set_key(delta=True), DELTA_RULE),
+    ("evaluate", "calibration.json", set_key(delta=1.0), DELTA_RULE),
+    ("evaluate", "calibration.json", set_key(kind=["linf"]), KIND_RULE),
+    ("evaluate", "calibration.json", set_key(kind="l1"), KIND_RULE),
+    ("evaluate", "calibration.json", drop_key("kind"), KIND_RULE),
 ], ids=["e-star-null", "e-star-a-float", "e-star-a-bool", "e-star-a-string", "e-star-negative",
         "no-e-star", "calibration-not-a-mapping", "split-not-a-mapping", "train-names-a-string",
         "train-names-of-ints", "no-test-names", "test-names-empty", "complementary-names-null",
         "r-star-a-mapping", "r-star-nan", "r-star-negative", "r-star-a-huge-int", "r-star-a-bool",
-        "r-star-a-string"])
+        "r-star-a-string", "r-star-short", "r-star-empty", "delta-nan", "no-delta",
+        "delta-a-string", "delta-a-bool", "delta-one", "kind-a-list", "kind-unknown", "no-kind"])
 def test_malformed_stage_input_exits_2(tmp_path, capsys, pipeline, stage, name, edit, message):
     # a stage checks the keys it reads of split.json and calibration.json;
     # the error names the file and the key. `edit` changes the document in

@@ -162,7 +162,7 @@ def tiny_pretrained():
     lf, hf, _ = sinusoid_pair_benchmark(70, 16, 24, seed=20)
     cfg = mfae.MfaeConfig(
         d_lf=16, d_hf=24, encoder_widths=[12], latent_dim=2, decoder_widths=[12],
-        seed=9, pretrain_epochs=400, adam=nn.AdamConfig(lr=3e-3),
+        seed=9, pretrain_epochs=400, learning_rate=3e-3,
     )
     model = mfae.pretrain(cfg, lf)
     return model, lf, hf

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 
@@ -14,7 +13,7 @@ from helpers import gradients, params_digest, sinusoid_pair_benchmark, traced_pe
 def small_config(**over):
     base = dict(
         d_lf=16, d_hf=24, encoder_widths=[12], latent_dim=2, decoder_widths=[12],
-        seed=7, pretrain_epochs=300, adam=nn.AdamConfig(lr=3e-3),
+        seed=7, pretrain_epochs=300, learning_rate=3e-3,
     )
     base.update(over)
     return mfae.MfaeConfig(**base)
@@ -68,7 +67,7 @@ def test_pretrain_linear_autoassociator_near_zero_loss():
     x = rng.normal(size=(6, 30))
     cfg = mfae.MfaeConfig(
         d_lf=6, d_hf=6, encoder_widths=[], latent_dim=6, decoder_widths=[],
-        seed=3, pretrain_epochs=3000, adam=nn.AdamConfig(lr=1e-2),
+        seed=3, pretrain_epochs=3000, learning_rate=1e-2,
     )
     model = mfae.pretrain(cfg, x)
     assert model.pretrain_losses[-1] <= 1e-6
@@ -86,7 +85,7 @@ def test_fine_tune_same_objective_continues_pretrain_loss():
     lf, _, _ = sinusoid_pair_benchmark(40, 16, 24, seed=5)
     cfg = small_config(d_hf=16, pretrain_epochs=400)
     model = mfae.pretrain(cfg, lf)
-    result = mfae.fine_tune(model, lf, lf, epochs=5, adam=cfg.adam)
+    result = mfae.fine_tune(model, lf, lf, epochs=5, lr=cfg.learning_rate)
     assert model.upscaler is None
     pre = model.pretrain_losses[-1]
     assert abs(result.losses[0] - pre) <= 0.5 * pre + 1e-9
@@ -99,7 +98,7 @@ def test_fine_tune_bias_corrected_by_adapter():
     hf = lf + c
     cfg = small_config(d_hf=16, force_adapter=True, pretrain_epochs=800)
     model = mfae.pretrain(cfg, lf)
-    mfae.fine_tune(model, lf, hf, epochs=1000, adam=nn.AdamConfig(lr=3e-3))
+    mfae.fine_tune(model, lf, hf, epochs=1000, lr=3e-3)
     pred = mfae.predict(model, lf)
     assert float(np.mean((pred - hf) ** 2)) <= 1e-3 * c * c
 
@@ -120,7 +119,7 @@ def test_fine_tune_freezes_encoder_and_sets_phase():
 # --- fine_tune against training the whole stack with the encoder frozen ----------
 
 
-def stacked_fine_tune(model, x_lf, y_hf, epochs, monitor=None, patience=100, adam=None,
+def stacked_fine_tune(model, x_lf, y_hf, epochs, monitor=None, patience=100, lr=None,
                       seed=None):
     """fine_tune as nn.train's schedule over the whole stack (encoder, decoder,
     upscaler) with the encoder frozen: the encoder's forward pass runs every
@@ -130,12 +129,12 @@ def stacked_fine_tune(model, x_lf, y_hf, epochs, monitor=None, patience=100, ada
         model.upscaler = nn.Mlp.from_widths(cfg.dims("upscaler"),
                                             seed=[cfg.seed, 2] if seed is None else seed)
     model.hf_stats = compute_norm_stats(y_hf, cfg.normalization)
-    adam = adam or dataclasses.replace(cfg.adam, lr=cfg.adam.lr / 10.0)
+    lr = lr or cfg.learning_rate / 10.0
     net = nn.stack(*[p for p in (model.encoder, model.decoder, model.upscaler) if p is not None])
     frozen = len(model.encoder.layers)
     tail = nn.Mlp(net.layers[frozen:])
     params = [a for layer in tail.layers for a in (layer.weights, layer.biases)]
-    state = nn.AdamState(params, adam)
+    state = nn.AdamState(params, lr)
     x, y = model.lf_stats.apply(x_lf).T, model.hf_stats.apply(y_hf).T
     result = nn.TrainResult()
     if monitor is not None:
@@ -204,7 +203,7 @@ def test_early_stopped_calibration_matches_the_frozen_stack_bitwise(monkeypatch)
         monkeypatch.setattr(mfae, "fine_tune", recorded)
         calibration = conformal.multi_split_calibrate(
             lf, hf, pretrained, n_splits=3, cal_fraction=0.3, delta=0.2, kind="linf",
-            patience=10, seed=1, max_epochs=400, adam=nn.AdamConfig(lr=2e-2))
+            patience=10, seed=1, max_epochs=400, lr=2e-2)
         runs.append((tuned, [(rec.epoch, rec.critical_quantile, rec.radius.tobytes())
                              for rec in calibration.splits], calibration.radius.tobytes()))
     assert runs[0] == runs[1] and sorted(runs[0][0]) == [(1, b, 1) for b in range(3)]

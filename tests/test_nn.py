@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mfcp import nn
+from mfcp import mfae, nn
 
 from helpers import finite_diff_probe, gradients, params_digest, rel_err
 
@@ -116,11 +116,11 @@ def reference_backward(net, cache, grad_out, frozen=0):
     return grads[::-1]
 
 
-def reference_train(net, x, y, epochs, adam, monitor, patience, frozen=0):
+def reference_train(net, x, y, epochs, lr, monitor, patience, frozen=0):
     """(losses, val_losses, best_epoch) of nn.train's schedule, Adam per array,
     on the whole net with its first `frozen` layers left as they are."""
     params = [a for layer in net.layers[frozen:] for a in (layer.weights, layer.biases)]
-    state = nn.AdamState(params, adam)
+    state = nn.AdamState(params, lr)
 
     def val_mse():
         return float(np.mean((reference_forward(net, monitor[0])[0] - monitor[1]) ** 2))
@@ -198,15 +198,15 @@ def test_train_matches_the_allocating_form_bitwise(frozen):
     rng = np.random.default_rng(34)
     x, y = rng.normal(size=(12, 5)), rng.normal(size=(12, 4))
     monitor = (rng.normal(size=(6, 5)), rng.normal(size=(6, 4)))
-    adam = nn.AdamConfig(lr=2e-2)
+    lr = 2e-2
     net, ref = relu_topped_net(35), relu_topped_net(35)
 
     def head(a):  # the frozen layers, run once, as fine_tune runs the encoder
         return nn.forward(nn.Mlp(net.layers[:frozen]), a)[0] if frozen else a
 
-    result = nn.train(nn.Mlp(net.layers[frozen:]), head(x), y, epochs=400, adam=adam,
+    result = nn.train(nn.Mlp(net.layers[frozen:]), head(x), y, epochs=400, lr=lr,
                       monitor=(head(monitor[0]), monitor[1]), patience=15)
-    losses, val_losses, best_epoch = reference_train(ref, x, y, 400, adam, monitor, 15, frozen)
+    losses, val_losses, best_epoch = reference_train(ref, x, y, 400, lr, monitor, 15, frozen)
     assert result.halted_early and 0 < result.best_epoch < len(result.losses)
     assert (result.losses, result.val_losses, result.best_epoch) == (losses, val_losses,
                                                                       best_epoch)
@@ -214,21 +214,19 @@ def test_train_matches_the_allocating_form_bitwise(frozen):
 
 
 def test_adam_config_range_rules():
-    nn.AdamConfig(lr=float("inf"), beta1=0.0, beta2=0.0, eps=float("inf"))  # legal edges
-    for bad, message in [
-        (dict(lr=0.0), "adam lr must be > 0, got 0.0"),
-        (dict(lr=float("nan")), "adam lr must be > 0, got nan"),
-        (dict(beta1=1.5), "adam beta1 must be >= 0 and < 1, got 1.5"),
-        (dict(beta1=1.0), "adam beta1 must be >= 0 and < 1, got 1.0"),
-        (dict(beta1=-0.1), "adam beta1 must be >= 0 and < 1, got -0.1"),
-        (dict(beta2=1000000), "adam beta2 must be >= 0 and < 1, got 1000000"),
-        (dict(beta2=float("nan")), "adam beta2 must be >= 0 and < 1, got nan"),
-        (dict(eps=0.0), "adam eps must be > 0, got 0.0"),
-        (dict(lr=10**400), f"adam lr must fit in a float, got {10**400}"),
-        (dict(eps=10**400), f"adam eps must fit in a float, got {10**400}"),
+    # Adam's one setting, its learning rate, is the model config's learning_rate
+    def config(lr):
+        return mfae.MfaeConfig(d_lf=4, d_hf=4, encoder_widths=[], latent_dim=2,
+                               decoder_widths=[], learning_rate=lr)
+
+    assert config(float("inf")).learning_rate == float("inf")  # the legal edge
+    for lr, message in [
+        (0.0, "learning_rate must be > 0, got 0.0"),
+        (float("nan"), "learning_rate must be > 0, got nan"),
+        (10**400, f"learning_rate must fit in a float, got {10**400}"),
     ]:
         with pytest.raises(ValueError) as err:
-            nn.AdamConfig(**bad)
+            config(lr)
         assert str(err.value) == message
 
 
@@ -236,12 +234,12 @@ def test_adam_matches_textbook_expressions_bitwise():
     rng = np.random.default_rng(17)
     shapes = [(4, 3), (5,), (2, 3, 2), (1,)]
     params = [rng.normal(size=s) for s in shapes]
-    cfg = nn.AdamConfig(lr=3e-3, beta1=0.8, beta2=0.99, eps=1e-7)
-    state = nn.AdamState(params, cfg)
+    lr = 3e-3
+    state = nn.AdamState(params, lr)
     ref_p = [p.copy() for p in params]
     ref_m = [np.zeros(s) for s in shapes]
     ref_v = [np.zeros(s) for s in shapes]
-    b1, b2 = cfg.beta1, cfg.beta2
+    b1, b2, eps = nn.BETA1, nn.BETA2, nn.EPS
     for t in range(1, 51):
         grads = [rng.normal(size=s) for s in shapes]
         ref_grads = [g.copy() for g in grads]  # adam_step consumes its gradients
@@ -251,7 +249,7 @@ def test_adam_matches_textbook_expressions_bitwise():
             ref_v[i] = b2 * ref_v[i] + (1.0 - b2) * (g * g)
             m_hat = ref_m[i] / (1.0 - b1**t)
             v_hat = ref_v[i] / (1.0 - b2**t)
-            ref_p[i] = ref_p[i] - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+            ref_p[i] = ref_p[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
         for p, r in zip(params, ref_p):
             assert np.array_equal(p, r)
     assert state.t == 50
@@ -268,7 +266,7 @@ def test_adam_zero_gradient_keeps_parameters():
 
 def test_adam_first_step_transcript():
     p = [np.array([0.0])]
-    state = nn.AdamState(p, nn.AdamConfig(lr=1e-3))
+    state = nn.AdamState(p, 1e-3)
     nn.adam_step(state, p, [np.array([1.0])])
     m_hat = (0.1 * 1.0) / (1.0 - 0.9)
     v_hat = (0.001 * 1.0) / (1.0 - 0.999)
@@ -278,7 +276,7 @@ def test_adam_first_step_transcript():
 
 def test_adam_quadratic_descent_monotone():
     theta = np.array([5.0])
-    state = nn.AdamState([theta], nn.AdamConfig(lr=1e-3))
+    state = nn.AdamState([theta], 1e-3)
     target = 0.0
     losses = []
     for _ in range(100):
@@ -331,7 +329,7 @@ def test_train_fits_exact_linear_data():
     w_true = rng.normal(size=(2, 3))
     y = x @ w_true.T + 0.5
     net = nn.Mlp.from_widths([3, 2], seed=1)
-    result = nn.train(net, x, y, epochs=2000, adam=nn.AdamConfig(lr=1e-2))
+    result = nn.train(net, x, y, epochs=2000, lr=1e-2)
     assert result.losses[-1] <= 1e-6
 
 
@@ -379,7 +377,7 @@ def test_train_raises_on_non_finite_parameter():
     net = nn.Mlp.from_widths([3, 4, 2], seed=8)
     with np.errstate(invalid="ignore"), pytest.raises(nn.TrainingDiverged) as err:
         nn.train(net, rng.normal(size=(6, 3)), rng.normal(size=(6, 2)), epochs=5,
-                 adam=nn.AdamConfig(lr=float("inf")))
+                 lr=float("inf"))
     assert err.value.epoch == 1
     assert "non-finite parameter after update" in str(err.value)
 
