@@ -154,7 +154,12 @@ def multi_split_calibrate(x_lf, y_hf, pretrained, n_splits, cal_fraction, delta,
         return SplitRecord(train_idx=train_idx.tolist(), cal_idx=cal_idx.tolist(),
                            critical_quantile=k_s, epoch=int(result.best_epoch), radius=k_s * s)
 
-    workers = min(n_splits, len(os.sched_getaffinity(0)))
+    # os.sched_getaffinity exists on some Unix systems only (not macOS or Windows)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1  # None when the count is unknown
+    workers = min(n_splits, cpus)
     with linalg.one_blas_thread(), ThreadPoolExecutor(workers) as pool:
         records = list(pool.map(run_split, range(n_splits)))
     return MultiSplitCalibration(

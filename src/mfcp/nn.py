@@ -14,6 +14,13 @@ array, and networks that share the layers see the trained values without a
 copy-back. `backward` writes the gradients into a second buffer of the same
 layout, which its caller owns; `adam_step` consumes them, using the buffer
 as scratch once it has read them, and the next `backward` overwrites it.
+`train` holds an epoch's other arrays for the run too: one forward cache
+over the larger of its training and monitor batches, which every
+`forward` of the run writes into, validation's included once `adam_step`
+has used the epoch's cache, and the loss gradient, which `mse_loss` writes
+into while it squares the error in the prediction's own array. What an
+epoch still allocates is `backward`'s own products, the finiteness mask
+and a relu output layer's activation.
 
 `Mlp.trainable` only marks `fine_tune`'s encoder pass as frozen work for
 the benchmark tracer (`perfbench/tracer.py`), and `train` refuses a net
@@ -118,21 +125,44 @@ def stack(*nets):
                trainable=[flag for net in nets for flag in net.trainable])
 
 
-def forward(net, x):
+def forward(net, x, cache=None):
     """Run the network on an (n, d_in) batch; returns the (n, d_out) output
     and the cache of per-layer inputs and pre-activations that `backward`
     needs. A single row is a (1, d_in) batch.
+
+    Given `cache`, an earlier call's cache over at least n rows, the pass
+    writes into the leading n rows of its arrays instead of allocating them
+    (only a relu output layer's activation is new): that earlier output and
+    cache are then dead. `x` is never written.
     """
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != net.n_in:
         raise ValueError(f"input must be an (n, {net.n_in}) batch, got shape {a.shape}")
-    cache = []
-    for layer in net.layers:
-        z = a @ layer.weights.T
+    n = a.shape[0]
+    if cache is not None and len(cache[0][1]) < n:
+        raise ValueError(f"the cache holds {len(cache[0][1])} rows, the batch {n}")
+    top = len(net.layers) - 1
+    new = []
+    for i, layer in enumerate(net.layers):
+        z = np.matmul(a, layer.weights.T, out=None if cache is None else cache[i][1][:n])
         z += layer.biases
-        cache.append((a, z))
-        a = np.maximum(z, 0.0) if layer.activation == "relu" else z
-    return a, cache
+        new.append((a, z))
+        if layer.activation == "relu":
+            # a hidden layer's activation is the next layer's cached input
+            a = np.maximum(z, 0.0, out=None if cache is None or i == top else cache[i + 1][0][:n])
+        else:
+            a = z
+    return a, new
+
+
+def _empty_cache(net, rows):
+    """A cache for `forward` to write batches of up to `rows` rows into, as an
+    earlier call over `rows` rows would leave it, except that the first
+    layer's input, which `forward` never writes, is None."""
+    zs = [np.empty((rows, layer.n_out)) for layer in net.layers]
+    activations = [np.empty_like(z) if layer.activation == "relu" else z
+                   for layer, z in zip(net.layers, zs)]
+    return list(zip([None] + activations[:-1], zs))
 
 
 def backward(net, cache, grad_out, out):
@@ -187,17 +217,17 @@ def _bind(layers, flat):
     return flat
 
 
-def mse_loss(pred, target):
-    """Mean squared error over all entries and its gradient w.r.t. pred."""
+def mse_loss(pred, target, out=None):
+    """Mean squared error over all entries and its gradient w.r.t. pred,
+    written into `out` (a new array when None; `train` passes a buffer it
+    holds for the run). `pred` is consumed: it holds the squared error on
+    return."""
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch {pred.shape} vs {target.shape}")
-    diff = pred - target
-    # the gradient 2 * diff / size; the array freed on return is the one
-    # allocated first, so glibc does not trim it off the heap's top and
-    # fault its pages in again next epoch
-    grad = diff * 2.0
+    diff = np.subtract(pred, target, out=pred)
+    grad = np.multiply(diff, 2.0, out=out)  # the gradient 2 * diff / size
     grad /= grad.size
     diff *= diff
     return float(np.add.reduce(diff, axis=None) / diff.size), grad  # the bits of np.mean
@@ -285,9 +315,14 @@ def train(net, inputs, targets, epochs, lr=1e-3, monitor=None, patience=100):
     flat = _bind(net.layers, parameters(net.layers))
     gflat = np.empty_like(flat)
     state = AdamState([flat], lr)
+    # an epoch's arrays, held for the run: the forward cache over the larger
+    # batch, which validation reuses once adam_step has used the epoch's
+    # cache, and the loss gradient
+    buffers = _empty_cache(net, max(len(x), 0 if monitor is None else len(monitor[0])))
+    grad = np.empty((len(x), net.layers[-1].n_out))
 
     def val_mse():
-        err, _ = forward(net, monitor[0])  # a fresh array: square its error in place
+        err, _ = forward(net, monitor[0], buffers)  # the buffers' rows: square the error in place
         err -= monitor[1]
         err *= err
         return float(np.add.reduce(err, axis=None) / err.size)
@@ -300,8 +335,8 @@ def train(net, inputs, targets, epochs, lr=1e-3, monitor=None, patience=100):
         best = flat.copy()
 
     for epoch in range(1, epochs + 1):
-        pred, cache = forward(net, x)
-        loss, grad = mse_loss(pred, y)
+        pred, cache = forward(net, x, buffers)
+        loss, _ = mse_loss(pred, y, grad)
         if not math.isfinite(loss):
             raise TrainingDiverged(epoch)
         result.losses.append(loss)

@@ -1,5 +1,6 @@
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -231,6 +232,33 @@ def test_multi_split_bits_do_not_depend_on_the_worker_count(tiny_pretrained, mon
     for b, (cal_idx, _, _) in enumerate(runs[0][2]):
         perm = np.random.default_rng([7, b]).permutation(40)
         assert cal_idx == sorted(perm[:12].tolist())
+
+
+def test_multi_split_sizes_its_pool_by_cpu_count_without_sched_getaffinity(tiny_pretrained,
+                                                                          monkeypatch):
+    # os.sched_getaffinity exists on some Unix systems only; elsewhere the pool
+    # takes os.cpu_count(), one worker when that is None, and the bytes stay
+    model, lf, hf = tiny_pretrained
+    kwargs = dict(n_splits=4, cal_fraction=0.3, delta=0.2, kind="linf",
+                  patience=10, seed=9, max_epochs=40)
+    sizes = []
+
+    def pool(workers):
+        sizes.append(workers)
+        return ThreadPoolExecutor(workers)
+
+    def run():
+        res = conformal.multi_split_calibrate(lf[:, :40], hf[:, :40], model, **kwargs)
+        return res.radius.tobytes(), res.epoch, [rec.radius.tobytes() for rec in res.splits]
+
+    monkeypatch.setattr(conformal, "ThreadPoolExecutor", pool)
+    monkeypatch.setattr(conformal.os, "sched_getaffinity", lambda pid: {0})
+    one_worker = run()
+    monkeypatch.delattr(conformal.os, "sched_getaffinity")
+    for count in (3, None):
+        monkeypatch.setattr(conformal.os, "cpu_count", lambda count=count: count)
+        assert run() == one_worker
+    assert sizes == [1, 3, 1]
 
 
 def test_multi_split_raises_the_first_diverged_split_in_split_order(tiny_pretrained,

@@ -6,7 +6,7 @@ import pytest
 
 from mfcp import mfae, nn
 
-from helpers import finite_diff_probe, gradients, params_digest, rel_err
+from helpers import finite_diff_probe, gradients, params_digest, rel_err, traced_peak
 
 
 def identity_layer(d):
@@ -181,36 +181,99 @@ def test_backward_matches_the_allocating_form_bitwise_and_writes_no_input(frozen
     assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
 
 
-def test_mse_loss_matches_the_allocating_form_bitwise_and_writes_no_input():
+def test_mse_loss_matches_the_allocating_form_bitwise_and_consumes_only_pred():
+    # the gradient goes into `out` (a new array without one) and the squared
+    # error into pred's own array; the target is not written
     rng = np.random.default_rng(33)
     for shape in ((7,), (6, 5)):
         pred, target = rng.normal(size=shape), rng.normal(size=shape)
-        before = pred.copy(), target.copy()
-        loss, grad = nn.mse_loss(pred, target)
         diff = pred - target
-        assert loss == float(np.mean(diff * diff))
-        assert grad.tobytes() == (2.0 * diff / diff.size).tobytes()
-        assert pred.tobytes() == before[0].tobytes() and target.tobytes() == before[1].tobytes()
+        before = target.copy()
+        for out in (None, np.full(shape, np.nan)):
+            consumed = pred.copy()
+            loss, grad = nn.mse_loss(consumed, target, out)
+            assert loss == float(np.mean(diff * diff))
+            assert grad.tobytes() == (2.0 * diff / diff.size).tobytes()
+            assert consumed.tobytes() == (diff * diff).tobytes()
+            assert out is None or grad is out
+            assert target.tobytes() == before.tobytes()
 
 
-@pytest.mark.parametrize("frozen", [0, 1], ids=["all", "frozen-first"])
-def test_train_matches_the_allocating_form_bitwise(frozen):
+def mid_identity_net(seed):
+    """An encoder and a decoder stacked, as pretrain trains them: the encoder's
+    identity output layer sits mid-stack."""
+    return nn.stack(nn.Mlp.from_widths([5, 7, 3], seed), nn.Mlp.from_widths([3, 6, 4], seed + 1))
+
+
+# (net, frozen leading layers, training rows, monitor rows, epochs); `train`
+# writes every epoch's forward pass, and validation's, into one set of arrays
+# sized for the larger batch
+TRAIN_CASES = {
+    "all": (relu_topped_net, 0, 12, 6, 400),
+    "frozen-first": (relu_topped_net, 1, 12, 6, 400),
+    "monitor-larger": (relu_topped_net, 0, 6, 12, 400),  # as a cal_fraction > 0.5
+    "identity-mid-stack": (mid_identity_net, 0, 12, 6, 400),
+    "identity-mid-stack-frozen-first-monitor-larger": (mid_identity_net, 1, 6, 12, 400),
+    "zero-epochs": (relu_topped_net, 0, 12, 6, 0),
+}
+
+
+@pytest.mark.parametrize("case", TRAIN_CASES.values(), ids=TRAIN_CASES.keys())
+def test_train_matches_the_allocating_form_bitwise(case):
+    make_net, frozen, n_train, n_monitor, epochs = case
     rng = np.random.default_rng(34)
-    x, y = rng.normal(size=(12, 5)), rng.normal(size=(12, 4))
-    monitor = (rng.normal(size=(6, 5)), rng.normal(size=(6, 4)))
+    x, y = rng.normal(size=(n_train, 5)), rng.normal(size=(n_train, 4))
+    monitor = (rng.normal(size=(n_monitor, 5)), rng.normal(size=(n_monitor, 4)))
     lr = 2e-2
-    net, ref = relu_topped_net(35), relu_topped_net(35)
+    net, ref = make_net(35), make_net(35)
 
     def head(a):  # the frozen layers, run once, as fine_tune runs the encoder
         return nn.forward(nn.Mlp(net.layers[:frozen]), a)[0] if frozen else a
 
-    result = nn.train(nn.Mlp(net.layers[frozen:]), head(x), y, epochs=400, lr=lr,
+    result = nn.train(nn.Mlp(net.layers[frozen:]), head(x), y, epochs=epochs, lr=lr,
                       monitor=(head(monitor[0]), monitor[1]), patience=15)
-    losses, val_losses, best_epoch = reference_train(ref, x, y, 400, lr, monitor, 15, frozen)
-    assert result.halted_early and 0 < result.best_epoch < len(result.losses)
+    losses, val_losses, best_epoch = reference_train(ref, x, y, epochs, lr, monitor, 15, frozen)
+    if epochs:
+        assert result.halted_early and 0 < result.best_epoch < len(result.losses)
+    else:
+        assert (result.losses, result.best_epoch, result.halted_early) == ([], 0, False)
     assert (result.losses, result.val_losses, result.best_epoch) == (losses, val_losses,
                                                                       best_epoch)
     assert params_digest(net) == params_digest(ref)
+
+
+def test_forward_into_a_cache_matches_a_fresh_pass_bitwise():
+    # the leading rows of an earlier cache's arrays, which the pass overwrites
+    for make_net in (relu_topped_net, mid_identity_net):
+        net = make_net(36)
+        rng = np.random.default_rng(37)
+        big, small = rng.normal(size=(9, 5)), rng.normal(size=(4, 5))
+        _, cache = nn.forward(net, big)
+        out, reused = nn.forward(net, small, cache)
+        fresh, fresh_cache = reference_forward(net, small)
+        assert out.tobytes() == fresh.tobytes()
+        for (a, z), (ra, rz), (ha, hz) in zip(reused, fresh_cache, cache):
+            assert a.tobytes() == ra.tobytes() and z.tobytes() == rz.tobytes()
+            assert np.shares_memory(z, hz) and (a is small or np.shares_memory(a, ha))
+        with pytest.raises(ValueError) as err:
+            nn.forward(net, big, reused)
+        assert str(err.value) == "the cache holds 4 rows, the batch 9"
+
+
+def test_train_peak_memory_does_not_grow_with_epochs():
+    # the epoch's arrays are held once per run, so 60 epochs peak where 3 do,
+    # up to the loss histories: two entries per epoch, a Python float (which
+    # a free list may or may not supply) and a list slot, well under 64 bytes
+    # each. One output row is 1,600 bytes and one batch array 48,000.
+    rng = np.random.default_rng(38)
+    x, y = rng.normal(size=(30, 6)), rng.normal(size=(30, 200))
+    monitor = rng.normal(size=(40, 6)), rng.normal(size=(40, 200))
+
+    def peak(epochs):
+        net = nn.Mlp.from_widths([6, 16, 200], seed=39)
+        return traced_peak(lambda: nn.train(net, x, y, epochs, 1e-3, monitor, patience=10**6))
+
+    assert peak(60) - peak(3) < 2 * (60 - 3) * 64
 
 
 def test_adam_config_range_rules():
@@ -299,7 +362,7 @@ def test_mse_loss_examples():
 def test_mse_loss_matches_naive_loop():
     rng = np.random.default_rng(4)
     a, b = rng.normal(size=20), rng.normal(size=20)
-    loss, grad = nn.mse_loss(a, b)
+    loss, grad = nn.mse_loss(a.copy(), b)  # mse_loss consumes its prediction
     naive = sum((x - y) ** 2 for x, y in zip(a, b)) / 20
     assert abs(loss - naive) <= 1e-15
     for i in range(20):
