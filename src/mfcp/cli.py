@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields as dc_fields
 import numpy as np
 
 from . import conformal, linalg, lofi, mfae, nn
-from .data import _row_heads, _write_rows, load_csv, metrics, save_csv, stratified_split
+from .data import _save_predictions, _write_rows, load_csv, metrics, save_csv, stratified_split
 
 log = logging.getLogger("mfcp")
 
@@ -388,15 +388,11 @@ def cmd_evaluate(cfg):
     if comp is not None:
         *_, comp_report = _evaluate_subset(model, radius, *comp)
         report["complementary_test"] = comp_report
+    del test, comp  # the writer processes fork from a parent holding the test columns only
 
     pred_dir = os.path.join(cfg.out_dir, "predictions")
     os.makedirs(pred_dir, exist_ok=True)
-    heads = _row_heads(coords[:, :1])  # node,x: the same in every file
-    for j, name in enumerate(test_names):
-        with open(os.path.join(pred_dir, f"{name}.csv"), "w", encoding="utf-8") as fh:
-            fh.write("node,x,truth,prediction,lower,upper\n")
-            _write_rows(fh, heads, np.column_stack([truth[:, j], pred[:, j], lower[j], upper[j]]),
-                        "\n")
+    _save_predictions(pred_dir, test_names, coords[:, :1], truth, pred, lower, upper)
 
     try:
         svg = _section_plot_svg(coords[:, 0], truth[:, 0], pred[:, 0], lower[0], upper[0],

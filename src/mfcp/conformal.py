@@ -11,7 +11,6 @@ use, over a one-thread BLAS.
 """
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -154,12 +153,7 @@ def multi_split_calibrate(x_lf, y_hf, pretrained, n_splits, cal_fraction, delta,
         return SplitRecord(train_idx=train_idx.tolist(), cal_idx=cal_idx.tolist(),
                            critical_quantile=k_s, epoch=int(result.best_epoch), radius=k_s * s)
 
-    # os.sched_getaffinity exists on some Unix systems only (not macOS or Windows)
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1  # None when the count is unknown
-    workers = min(n_splits, cpus)
+    workers = min(n_splits, linalg.usable_cpus())
     with linalg.one_blas_thread(), ThreadPoolExecutor(workers) as pool:
         records = list(pool.map(run_split, range(n_splits)))
     return MultiSplitCalibration(

@@ -1,4 +1,5 @@
-"""Snapshot-set ingestion, normalization, splitting, and regression metrics.
+"""Snapshot-set ingestion, normalization, splitting, and regression metrics,
+and the CSV writers of snapshot sets and of evaluate's predictions.
 
 A snapshot set holds a D x N field matrix (one column per snapshot), the
 D-node coordinates, and per-snapshot named parameter rows. Sets are treated
@@ -17,6 +18,8 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import linalg
 
 COORD_NAMES = ("x", "y", "z")
 
@@ -119,6 +122,49 @@ def save_csv(s, path):
         w.writerow(["name", *s.param_names])
         for j, name in enumerate(s.names):
             w.writerow([name] + [f"{v:.17g}" for v in s.params[j]])
+
+
+def _save_predictions(pred_dir, names, x, truth, pred, lower, upper):
+    """Write `pred_dir/<name>.csv` per test snapshot j: node, `x`, column j
+    of `truth` and `pred`, row j of `lower` and `upper`. `%.17g` holds the
+    GIL, so one process per CPU this process may use writes them: process w
+    the files j = w (mod workers), w = 0 being the caller's, which waits for
+    the others; OSError if one failed. Without `os.fork` (Windows) the caller
+    writes all. It lives here, not in `cli`: every stage compiles `cli`
+    first, on its smallest heap, so code there shows in each stage's peak."""
+    heads = _row_heads(x)
+    workers = min(len(names), linalg.usable_cpus()) if hasattr(os, "fork") else 1
+
+    def write_share(w):
+        for j in range(w, len(names), workers):
+            with open(os.path.join(pred_dir, f"{names[j]}.csv"), "w", encoding="utf-8") as fh:
+                fh.write("node,x,truth,prediction,lower,upper\n")
+                _write_rows(fh, heads, np.column_stack([truth[:, j], pred[:, j], lower[j],
+                                                        upper[j]]), "\n")
+
+    pids = []
+    try:
+        for w in range(1, workers):
+            pid = os.fork()
+            if pid == 0:
+                # os._exit: the child never returns into the caller's stack (a
+                # test may run the CLI in-process). Python 3.12 warns at a fork
+                # beside other threads (OpenBLAS's idle pool); the child takes no
+                # lock they may hold: it calls no BLAS, logging or sys.stderr.
+                code = 1
+                try:
+                    write_share(w)
+                    code = 0
+                except Exception as exc:
+                    os.write(2, f"error: {exc}\n".encode(errors="backslashreplace"))
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+        write_share(0)
+    finally:
+        failed = sum(os.waitpid(pid, 0)[1] != 0 for pid in pids)
+    if failed:
+        raise OSError(f"{failed} of {workers - 1} prediction writer processes failed")
 
 
 def _parse_float(cell, where):

@@ -1,5 +1,5 @@
-"""Dense real-matrix primitives: an input check, the thin SVD and a pin of
-the BLAS to one thread.
+"""Dense real-matrix primitives: an input check, the thin SVD, a pin of
+the BLAS to one thread and the count of CPUs this process may use.
 
 Everything operates on float64 ndarrays and is deterministic for a fixed
 input on a fixed platform. OpenBLAS splits some matrix products
@@ -11,6 +11,7 @@ import contextlib
 import ctypes
 import functools
 import logging
+import os
 
 import numpy as np
 
@@ -96,3 +97,12 @@ def one_blas_thread():
         yield
     finally:
         set_(before)
+
+
+def usable_cpus():
+    """The number of CPUs this process may use: its affinity mask where the
+    platform has one (`os.sched_getaffinity` exists on some Unix systems
+    only, not macOS or Windows), else `os.cpu_count()`, else 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1  # None when the count is unknown

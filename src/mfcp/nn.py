@@ -16,11 +16,12 @@ layout, which its caller owns; `adam_step` consumes them, using the buffer
 as scratch once it has read them, and the next `backward` overwrites it.
 `train` holds an epoch's other arrays for the run too: one forward cache
 over the larger of its training and monitor batches, which every
-`forward` of the run writes into, validation's included once `adam_step`
-has used the epoch's cache, and the loss gradient, which `mse_loss` writes
-into while it squares the error in the prediction's own array. What an
-epoch still allocates is `backward`'s own products, the finiteness mask
-and a relu output layer's activation.
+`forward` of the run writes into through views of its leading rows built
+once per run, validation's included once `adam_step` has used the epoch's
+cache, and the loss gradient, which `mse_loss` writes into while it
+squares the error in the prediction's own array. What an epoch still
+allocates is `backward`'s own products, the finiteness mask and a relu
+output layer's activation.
 
 `Mlp.trainable` only marks `fine_tune`'s encoder pass as frozen work for
 the benchmark tracer (`perfbench/tracer.py`), and `train` refuses a net
@@ -130,39 +131,42 @@ def forward(net, x, cache=None):
     and the cache of per-layer inputs and pre-activations that `backward`
     needs. A single row is a (1, d_in) batch.
 
-    Given `cache`, an earlier call's cache over at least n rows, the pass
-    writes into the leading n rows of its arrays instead of allocating them
-    (only a relu output layer's activation is new): that earlier output and
-    cache are then dead. `x` is never written.
+    Given `cache`, an earlier call's cache over n rows (or views of the
+    leading n rows of one, as `train` passes), the pass writes into its
+    arrays instead of allocating them (only a relu output layer's activation
+    is new): that earlier output and cache are then dead. `x` is never
+    written.
     """
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != net.n_in:
         raise ValueError(f"input must be an (n, {net.n_in}) batch, got shape {a.shape}")
     n = a.shape[0]
-    if cache is not None and len(cache[0][1]) < n:
+    if cache is not None and len(cache[0][1]) != n:
         raise ValueError(f"the cache holds {len(cache[0][1])} rows, the batch {n}")
     top = len(net.layers) - 1
     new = []
     for i, layer in enumerate(net.layers):
-        z = np.matmul(a, layer.weights.T, out=None if cache is None else cache[i][1][:n])
+        z = np.matmul(a, layer.weights.T, out=None if cache is None else cache[i][1])
         z += layer.biases
         new.append((a, z))
         if layer.activation == "relu":
             # a hidden layer's activation is the next layer's cached input
-            a = np.maximum(z, 0.0, out=None if cache is None or i == top else cache[i + 1][0][:n])
+            a = np.maximum(z, 0.0, out=None if cache is None or i == top else cache[i + 1][0])
         else:
             a = z
     return a, new
 
 
-def _empty_cache(net, rows):
-    """A cache for `forward` to write batches of up to `rows` rows into, as an
-    earlier call over `rows` rows would leave it, except that the first
-    layer's input, which `forward` never writes, is None."""
-    zs = [np.empty((rows, layer.n_out)) for layer in net.layers]
+def _empty_caches(net, *rows):
+    """One cache per entry of `rows` for `forward` to write batches of that
+    many rows into, as an earlier call over them would leave it, except that
+    the first layer's input, which `forward` never writes, is None. The caches
+    are views of the leading rows of one set of arrays over the largest."""
+    zs = [np.empty((max(rows), layer.n_out)) for layer in net.layers]
     activations = [np.empty_like(z) if layer.activation == "relu" else z
                    for layer, z in zip(net.layers, zs)]
-    return list(zip([None] + activations[:-1], zs))
+    return [[(None, zs[0][:n])] + [(a[:n], z[:n]) for a, z in zip(activations, zs[1:])]
+            for n in rows]
 
 
 def backward(net, cache, grad_out, out):
@@ -317,12 +321,12 @@ def train(net, inputs, targets, epochs, lr=1e-3, monitor=None, patience=100):
     state = AdamState([flat], lr)
     # an epoch's arrays, held for the run: the forward cache over the larger
     # batch, which validation reuses once adam_step has used the epoch's
-    # cache, and the loss gradient
-    buffers = _empty_cache(net, max(len(x), 0 if monitor is None else len(monitor[0])))
+    # cache, and the loss gradient; each batch's views are built here once
+    buffers, val_buffers = _empty_caches(net, len(x), 0 if monitor is None else len(monitor[0]))
     grad = np.empty((len(x), net.layers[-1].n_out))
 
     def val_mse():
-        err, _ = forward(net, monitor[0], buffers)  # the buffers' rows: square the error in place
+        err, _ = forward(net, monitor[0], val_buffers)  # the buffers' rows: square it in place
         err -= monitor[1]
         err *= err
         return float(np.add.reduce(err, axis=None) / err.size)

@@ -462,6 +462,75 @@ def test_evaluate_missing_artifacts_exit_2(tmp_path, pipeline):
     assert cli.main(["evaluate", "--config", str(p)]) == 2
 
 
+def evaluate_copy(tmp_path, pipeline, name):
+    """A copy of the chain's out/ under `name` without evaluate's outputs, and
+    the path of a config that evaluates it."""
+    import shutil
+    root, cfg, _ = pipeline
+    run = dataclasses.replace(cfg, out_dir=str(tmp_path / name))
+    shutil.copytree(root / "out", run.out_dir,
+                    ignore=shutil.ignore_patterns("predictions", "report.json", "section_plot.svg"))
+    (tmp_path / f"{name}.txt").write_text(dump_config(run))
+    return tmp_path / f"{name}.txt", tmp_path / name
+
+
+def evaluate_outputs(out):
+    return {rel: digest for rel, digest in tree_digests(out).items()
+            if rel.startswith("predictions") or rel in ("report.json", "section_plot.svg")}
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_evaluate_writes_the_same_bytes_whatever_its_writer_count(tmp_path, monkeypatch, pipeline):
+    # the prediction files are dealt over one process per CPU: one CPU writes
+    # them all in-process, four fork three writers, and without os.fork
+    # (Windows) the stage writes them in-process too
+    root, cfg, _ = pipeline
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    written = {}
+    for name, cpus in (("one-cpu", {0}), ("four-cpus", {0, 1, 2, 3}), ("no-fork", {0, 1})):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        if name == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        forks.clear()
+        cfg_path, out = evaluate_copy(tmp_path, pipeline, name)
+        assert cli.main(["evaluate", "--config", str(cfg_path)]) == 0
+        assert_no_child_left()
+        assert len(forks) == (3 if name == "four-cpus" else 0)
+        written[name] = evaluate_outputs(out)
+    assert len(json.loads((root / "out" / "split.json").read_text())["test_names"]) >= 4
+    assert written["one-cpu"] == written["four-cpus"] == written["no-fork"] == \
+        evaluate_outputs(root / "out")
+
+
+@pytest.mark.parametrize("share", [1, 0], ids=["child", "parent"])
+def test_a_failed_prediction_writer_exits_2_and_names_its_file(tmp_path, monkeypatch, capfd,
+                                                              pipeline, share):
+    # two writers: the forked child writes the odd files, the stage's own process the even ones
+    root, cfg, _ = pipeline
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    name = json.loads((root / "out" / "split.json").read_text())["test_names"][share]
+    cfg_path, out = evaluate_copy(tmp_path, pipeline, "failed")
+    (out / "predictions" / f"{name}.csv").mkdir(parents=True)
+    capfd.readouterr()
+    assert cli.main(["evaluate", "--config", str(cfg_path)]) == 2
+    assert_no_child_left()
+    err = capfd.readouterr().err
+    assert f"Is a directory: '{out / 'predictions' / name}.csv'" in err
+    if share:
+        assert err.endswith("error: 1 of 1 prediction writer processes failed\n")
+    assert not (out / "report.json").exists() and not (out / "section_plot.svg").exists()
+
+
 def test_leakage_guard_refuses(tmp_path, pipeline):
     root, cfg, _ = pipeline
     import shutil

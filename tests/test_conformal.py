@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -216,9 +217,16 @@ def test_multi_split_bits_do_not_depend_on_the_worker_count(tiny_pretrained, mon
     model, lf, hf = tiny_pretrained
     kwargs = dict(n_splits=6, cal_fraction=0.3, delta=0.2, kind="normalized_l2",
                   patience=10, seed=7, max_epochs=60)
+    sizes = []
+
+    def pool(workers):
+        sizes.append(workers)
+        return ThreadPoolExecutor(workers)
+
+    monkeypatch.setattr(conformal, "ThreadPoolExecutor", pool)
     runs = []
     for cpus in ({0}, set(range(6))):
-        monkeypatch.setattr(conformal.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -227,38 +235,12 @@ def test_multi_split_bits_do_not_depend_on_the_worker_count(tiny_pretrained, mon
             sys.setswitchinterval(interval)
         runs.append((res.radius.tobytes(), res.epoch,
                      [(rec.cal_idx, rec.epoch, rec.radius.tobytes()) for rec in res.splits]))
+    assert sizes == [1, 6]
     assert runs[0] == runs[1]
     # in split order: each record holds the calibration fold of its own stream (seed, b)
     for b, (cal_idx, _, _) in enumerate(runs[0][2]):
         perm = np.random.default_rng([7, b]).permutation(40)
         assert cal_idx == sorted(perm[:12].tolist())
-
-
-def test_multi_split_sizes_its_pool_by_cpu_count_without_sched_getaffinity(tiny_pretrained,
-                                                                          monkeypatch):
-    # os.sched_getaffinity exists on some Unix systems only; elsewhere the pool
-    # takes os.cpu_count(), one worker when that is None, and the bytes stay
-    model, lf, hf = tiny_pretrained
-    kwargs = dict(n_splits=4, cal_fraction=0.3, delta=0.2, kind="linf",
-                  patience=10, seed=9, max_epochs=40)
-    sizes = []
-
-    def pool(workers):
-        sizes.append(workers)
-        return ThreadPoolExecutor(workers)
-
-    def run():
-        res = conformal.multi_split_calibrate(lf[:, :40], hf[:, :40], model, **kwargs)
-        return res.radius.tobytes(), res.epoch, [rec.radius.tobytes() for rec in res.splits]
-
-    monkeypatch.setattr(conformal, "ThreadPoolExecutor", pool)
-    monkeypatch.setattr(conformal.os, "sched_getaffinity", lambda pid: {0})
-    one_worker = run()
-    monkeypatch.delattr(conformal.os, "sched_getaffinity")
-    for count in (3, None):
-        monkeypatch.setattr(conformal.os, "cpu_count", lambda count=count: count)
-        assert run() == one_worker
-    assert sizes == [1, 3, 1]
 
 
 def test_multi_split_raises_the_first_diverged_split_in_split_order(tiny_pretrained,

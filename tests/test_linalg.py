@@ -1,4 +1,5 @@
 import logging
+import os
 
 import numpy as np
 import pytest
@@ -94,3 +95,14 @@ def test_one_blas_thread_without_openblas_warns_and_runs_the_block(monkeypatch, 
     assert ran == [True]
     [record] = caplog.records
     assert record.levelno == logging.WARNING and "unpinned" in record.getMessage()
+
+
+def test_usable_cpus_falls_back_to_cpu_count_without_sched_getaffinity(monkeypatch):
+    # os.sched_getaffinity exists on some Unix systems only; elsewhere the
+    # count is os.cpu_count(), and 1 when that is None
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3})
+    assert linalg.usable_cpus() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    for count, want in ((3, 3), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda count=count: count)
+        assert linalg.usable_cpus() == want

@@ -243,13 +243,16 @@ def test_train_matches_the_allocating_form_bitwise(case):
 
 
 def test_forward_into_a_cache_matches_a_fresh_pass_bitwise():
-    # the leading rows of an earlier cache's arrays, which the pass overwrites
+    # views of the leading rows of an earlier cache's arrays, which the pass overwrites
     for make_net in (relu_topped_net, mid_identity_net):
         net = make_net(36)
         rng = np.random.default_rng(37)
         big, small = rng.normal(size=(9, 5)), rng.normal(size=(4, 5))
         _, cache = nn.forward(net, big)
-        out, reused = nn.forward(net, small, cache)
+        with pytest.raises(ValueError) as err:
+            nn.forward(net, small, cache)
+        assert str(err.value) == "the cache holds 9 rows, the batch 4"
+        out, reused = nn.forward(net, small, [(a[:4], z[:4]) for a, z in cache])
         fresh, fresh_cache = reference_forward(net, small)
         assert out.tobytes() == fresh.tobytes()
         for (a, z), (ra, rz), (ha, hz) in zip(reused, fresh_cache, cache):
