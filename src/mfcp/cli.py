@@ -29,6 +29,7 @@ from .data import _save_predictions, _write_rows, load_csv, metrics, save_csv, s
 log = logging.getLogger("mfcp")
 
 REPORT_VERSION = 1
+PLOT_WIDTH, PLOT_HEIGHT = 720, 480  # section_plot.svg's size in pixels
 
 
 @dataclass
@@ -111,6 +112,9 @@ def dump_config(cfg) -> str:
             v = "true" if v else "false"
         elif isinstance(v, float):
             v = repr(v)
+        elif isinstance(v, str) and ("#" in v or v != v.strip() or len(v.splitlines()) > 1):
+            raise ValueError(f"config key {f.name}: {v!r} would not read back; a value holds "
+                             f"no '#' or line break and no leading or trailing whitespace")
         lines.append(f"{f.name} = {v}")
     return "\n".join(lines) + "\n"
 
@@ -334,12 +338,12 @@ def _leakage_check(meta, test_names):
 
 def _evaluate_subset(model, radius, x, y):
     """Predict the (d_lf, n) LF columns `x`, band the prediction and score
-    it against the paired HF columns `y`; (y, pred, lower, upper, report)."""
+    it against the paired HF columns `y`; (pred, lower, upper, report)."""
     pred = mfae.predict(model, x)
     lower, upper = conformal.band(pred.T, radius)
     cov = conformal.coverage(lower, upper, y.T)
     m = metrics(pred, y)
-    return y, pred, lower, upper, {
+    return pred, lower, upper, {
         "mae": m["mae"],
         "rmse": m["rmse"],
         "r2": m["r2"],
@@ -373,12 +377,12 @@ def cmd_evaluate(cfg):
     comp_names = [n for n in split["complementary_names"] if n in lf_names]
     # the test and complementary columns and the node coordinates are all
     # evaluate reads of the two sets, which go before any prediction
-    test = _paired_matrices(lf, hf, test_names)
+    test_x, truth = _paired_matrices(lf, hf, test_names)
     comp = _paired_matrices(lf, hf, comp_names) if comp_names else None
     coords = hf.coords
     del lf, hf
 
-    truth, pred, lower, upper, test_report = _evaluate_subset(model, radius, *test)
+    pred, lower, upper, test_report = _evaluate_subset(model, radius, test_x, truth)
     report = {
         "format_version": REPORT_VERSION,
         "delta": calibration["delta"],
@@ -386,9 +390,9 @@ def cmd_evaluate(cfg):
         "test": test_report,
     }
     if comp is not None:
-        *_, comp_report = _evaluate_subset(model, radius, *comp)
+        comp_report = _evaluate_subset(model, radius, *comp)[-1]
         report["complementary_test"] = comp_report
-    del test, comp  # the writer processes fork from a parent holding the test columns only
+    del test_x, comp  # the writer processes fork from a parent holding the test columns only
 
     pred_dir = os.path.join(cfg.out_dir, "predictions")
     os.makedirs(pred_dir, exist_ok=True)
@@ -409,7 +413,7 @@ def cmd_evaluate(cfg):
     print(path)
 
 
-def _section_plot_svg(x, truth, pred, lower, upper, title="", width=720, height=480):
+def _section_plot_svg(x, truth, pred, lower, upper, title=""):
     """Minimal static SVG: shaded band, prediction line, truth markers."""
     # XML forbids control characters even escaped; xml.sax.saxutils imports urllib
     title = "".join(c if c.isprintable() else "\ufffd" for c in title)
@@ -423,20 +427,20 @@ def _section_plot_svg(x, truth, pred, lower, upper, title="", width=720, height=
     x_min = x.min()
     span_x = float(x.max() - x_min) or 1.0
     span_y = (hi - lo) or 1.0
-    px = (pad + (x - x_min) / span_x * (width - 2 * pad)).tolist()
+    px = (pad + (x - x_min) / span_x * (PLOT_WIDTH - 2 * pad)).tolist()
 
     def sy(v):
         # value axis inverted so larger suction plots upward, plot-style
-        return (pad + (hi - v) / span_y * (height - 2 * pad)).tolist()
+        return (pad + (hi - v) / span_y * (PLOT_HEIGHT - 2 * pad)).tolist()
 
     def pts(xs, ys):
         return " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(xs, ys))
 
     band_path = pts(px, sy(upper)) + " " + pts(px[::-1], sy(lower)[::-1])
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.0f}" y="24" text-anchor="middle" font-size="14">{title}</text>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{PLOT_WIDTH}" height="{PLOT_HEIGHT}">',
+        f'<rect width="{PLOT_WIDTH}" height="{PLOT_HEIGHT}" fill="white"/>',
+        f'<text x="{PLOT_WIDTH / 2:.0f}" y="24" text-anchor="middle" font-size="14">{title}</text>',
         f'<polygon points="{band_path}" fill="#f4c7c3" stroke="none" opacity="0.8"/>',
         f'<polyline points="{pts(px, sy(pred))}" fill="none" stroke="#c0392b" stroke-width="1.5"/>',
     ]

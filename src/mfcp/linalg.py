@@ -47,32 +47,19 @@ def thin_svd(a):
 def _openblas():
     """(get, set) of the thread count of the OpenBLAS that NumPy loaded, or None.
 
-    /proc/self/maps names the loaded library (Linux); a NumPy wheel ships it
-    as numpy.libs/libscipy_openblas64_*.so, whose symbols carry the
-    scipy_ prefix and the 64_ suffix of its 64-bit integer interface."""
-    paths = set()
-    try:
-        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
-            for line in fh:
-                # address, perms, offset, device, inode, then a path that may hold spaces
-                fields = line.split(maxsplit=5)
-                if len(fields) == 6 and "openblas" in fields[5].lower():
-                    paths.add(fields[5].rstrip("\n"))
-    except OSError:
-        return None
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:  # a mapping whose file is gone, "... (deleted)"
-            continue
-        for prefix in ("scipy_openblas", "openblas"):
-            for suffix in ("64_", ""):
-                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-                if get is not None and set_ is not None:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    set_.argtypes, set_.restype = [ctypes.c_int], None
-                    return get, set_
+    dlsym on NumPy's linalg extension also searches the libraries it loaded.
+    A NumPy wheel ships OpenBLAS as numpy.libs/libscipy_openblas64_*.so, whose
+    symbols carry the scipy_ prefix and the 64_ suffix of its 64-bit integer
+    interface."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
     return None
 
 
@@ -82,8 +69,7 @@ def one_blas_thread():
     caller's count. The bytes of every product then do not depend on
     OPENBLAS_NUM_THREADS, and threads of the caller's own do not oversubscribe
     the cores. Blocks nest. Where no known OpenBLAS symbol exists (MKL,
-    Accelerate, no /proc/self/maps), it logs one warning and runs the block
-    unpinned."""
+    Accelerate), it logs one warning and runs the block unpinned."""
     lib = _openblas()
     if lib is None:
         log.warning("no OpenBLAS thread-count symbol found; the BLAS runs unpinned, "

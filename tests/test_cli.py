@@ -62,8 +62,18 @@ def pipeline(tmp_path_factory):
 
 
 def test_config_round_trip_lossless():
-    cfg = PipelineConfig(delta=0.07, cal_fraction=1 / 3, learning_rate=2.5e-4, seed=99)
+    cfg = PipelineConfig(delta=0.07, cal_fraction=1 / 3, learning_rate=2.5e-4, seed=99,
+                         out_dir="my runs/a=b")
     assert parse_config(dump_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("key, value", [
+    ("out_dir", "runs/#1"), ("recipe", " r.json"), ("lf_set", "lf.csv\t"),
+    ("hf_set", "a\nb.csv"), ("score_kind", "linf\r"), ("normalization", "x\x0bnone"),
+])
+def test_dump_config_refuses_a_str_value_that_would_not_read_back(key, value):
+    with pytest.raises(ValueError, match=f"config key {key}: "):
+        dump_config(PipelineConfig(**{key: value}))
 
 
 def test_config_defaults():

@@ -68,6 +68,9 @@ def test_svd_rejects_bad_input():
 def test_one_blas_thread_pins_nests_and_restores_the_callers_count():
     lib = linalg._openblas()
     if lib is None:
+        # a lookup that stops finding an OpenBLAS NumPy reports must fail, not skip
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert "openblas" not in str(blas.get("name")).lower(), blas
         pytest.skip("NumPy's BLAS here is not an OpenBLAS with a known thread-count symbol")
     get, set_ = lib
     before = get()
